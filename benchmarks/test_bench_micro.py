@@ -90,7 +90,7 @@ def test_bench_latency_bound(benchmark):
 
 
 @pytest.mark.parametrize("stations", [4, 16])
-@pytest.mark.parametrize("engine", ["des", "fastloop"])
+@pytest.mark.parametrize("engine", ["des", "batch"])
 def test_bench_channel_slot_rate(benchmark, stations, engine):
     """DDCR simulation throughput (channel rounds per second), per engine."""
     problem = uniform_problem(

@@ -5,9 +5,10 @@ The injector translates the pure-data models of
 consults: which stations are down, which drift-suppressed, which babble
 frames ride the wire this round, and which noise gates corrupt the slot.
 It is armed once per run (after stations attach, before the first round)
-and then driven by :meth:`begin_round` from inside the round loop — under
-either engine, at the same simulated times, so faulted runs remain
-byte-identical across ``des`` and ``fastloop``.
+and then driven by :meth:`begin_round` from inside the DES round loop.
+An armed injector makes a run ineligible for the batch kernel, so a
+faulted run executes on the DES whichever engine was requested, and its
+results are the same under ``des``, ``batch`` and ``auto``.
 
 All injector randomness (the Gilbert–Elliott chain) comes from the single
 ``rng`` handed in at construction; the simulation layer passes a dedicated

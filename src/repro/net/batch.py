@@ -1,7 +1,7 @@
 """The batch-slot kernel: struct-of-arrays station state for CSMA/DDCR.
 
-The third engine tier (see :mod:`repro.net.engine`).  The DES and fastloop
-engines spend one Python method call per station per slot (``offer`` then
+The fast engine (see :mod:`repro.net.engine`).  The DES reference engine
+spends one Python method call per station per slot (``offer`` then
 ``observe``), so slot throughput degrades linearly in the station count z.
 This kernel exploits the protocol's lockstep theorem instead: under
 CSMA/DDCR every station's *common-knowledge* state — mode, ``reft``, the
@@ -11,30 +11,31 @@ time/static tree-search agendas and frontiers — is an identical replica
 * exactly **one** protocol automaton to digest the observation (the
   *shadow replica*: a real :class:`~repro.protocols.ddcr.protocol.DDCRProtocol`
   bound to a dummy station, whose ``mine`` flag is never true), and
-* a handful of vectorized comparisons over per-station *private* state to
+* a handful of integer comparisons over per-station *private* state to
   decide who offers: the EDF head's MAC-visible deadline, and the nested
-  static-search membership/cursor — held as struct-of-arrays columns in a
-  :class:`_NumpyOps` backend (the ``[perf]`` optional dependency) or the
-  pure-Python :class:`_PythonOps` fallback with identical integer
-  semantics.
+  static-search membership/cursor — held as struct-of-arrays list
+  columns in :class:`_Columns`.
 
 Because the shadow replica *is* the production automaton, shared-state
 transitions are correct by construction and results are byte-identical to
-the other engines (the engine-differential suite enforces this, clean and
-faulted).  On top of the vectorized slot, the kernel batch-advances
-provably invariant idle stretches (all queues empty, FREE mode or the
-fresh-TTs steady cycle) in O(1) — the dominant regime of long simulations.
+the DES (the engine-differential suite enforces this, clean and faulted).
+On top of the per-slot path, the kernel batch-advances provably invariant
+idle stretches (all queues empty, FREE mode or the fresh-TTs steady cycle)
+in O(1) — the dominant regime of long simulations.  Armed invariant
+monitors digest such a stretch in bulk through
+:meth:`~repro.sim.invariants.MonitorSuite.on_idle`, so they do not
+disable it.
 
-Fallback contract (mirroring the fast loop's): :func:`batch_unavailable_reason`
-reports *structural* ineligibility — foreign MAC types, differing configs,
-packet bursting, non-destructive media (contention tags), an armed fault
-injector, per-slot consistency checks, or foreign processes pending at
-entry — and :meth:`BroadcastChannel.run_batch` then delegates to
-``run_fast`` (which may itself rejoin the DES), returning the reason so
-the run manifest can record it.  If a foreign process appears *mid-run*
-(e.g. registered by a monitor), the kernel writes the shared state back
-into every station's MAC and rejoins the general DES after the current
-slot, exactly where the DES path would interleave it.
+Fallback contract: :func:`batch_unavailable_reason` reports *structural*
+ineligibility — foreign MAC types, differing configs, packet bursting,
+non-destructive media (contention tags), an armed fault injector,
+per-slot consistency checks, or foreign processes pending at entry — and
+:meth:`BroadcastChannel.run` then runs the whole run on the DES,
+returning the reason so the run manifest can record it.  If a foreign
+process appears *mid-run* (e.g. registered by a monitor), the kernel
+writes the shared state back into every station's MAC and rejoins the
+general DES after the current slot, exactly where the DES path would
+interleave it.
 
 Known limitation (structural, not silent): the kernel caches each
 station's next pending-arrival time, so injecting arrivals *mid-run* from
@@ -64,7 +65,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "BatchKernel",
     "batch_unavailable_reason",
-    "numpy_unavailable_reason",
 ]
 
 _SILENCE = ChannelState.SILENCE
@@ -72,40 +72,11 @@ _SUCCESS = ChannelState.SUCCESS
 _COLLISION = ChannelState.COLLISION
 
 #: Sentinel deadline for an empty EDF queue: larger than any real deadline
-#: (horizons are bit-time ints far below 2**62) yet safe in int64 columns.
+#: (horizons are bit-time ints far below 2**62).
 _EMPTY = 1 << 62
 
 #: Sentinel for the next-arrival column when a station has none pending.
 _NEVER = 1 << 62
-
-
-# -- optional numpy ----------------------------------------------------------
-
-#: Lazily resolved ``(module | None, reason | None)``.  Cached so the probe
-#: runs once per process; tests reset it to force the import-failure path.
-_NUMPY_STATE: "tuple[object | None, str | None] | None" = None
-
-
-def _load_numpy() -> "tuple[object | None, str | None]":
-    global _NUMPY_STATE
-    if _NUMPY_STATE is None:
-        try:
-            import numpy
-        except Exception as error:  # pragma: no cover - exercised via tests
-            _NUMPY_STATE = (
-                None,
-                "numpy unavailable "
-                f"({type(error).__name__}): pure-python backend "
-                "(install the [perf] extra for the vectorized one)",
-            )
-        else:
-            _NUMPY_STATE = (numpy, None)
-    return _NUMPY_STATE
-
-
-def numpy_unavailable_reason() -> str | None:
-    """Why the vectorized backend is unavailable (``None`` = it is)."""
-    return _load_numpy()[1]
 
 
 # -- eligibility -------------------------------------------------------------
@@ -116,8 +87,8 @@ def batch_unavailable_reason(channel: "BroadcastChannel") -> str | None:
 
     The checks are *structural* — a property of the run's configuration,
     decidable before the first slot — so the fallback is deterministic and
-    behavior-free: the run proceeds on the fast loop (or the DES) with
-    byte-identical results, and the reason lands in the run manifest.
+    behavior-free: the run proceeds on the DES with byte-identical
+    results, and the reason lands in the run manifest.
     """
     if channel.env.pending:
         return "foreign processes pending on the environment at entry"
@@ -180,14 +151,16 @@ def _copy_sts(sts: StaticTreeSearch | None) -> StaticTreeSearch | None:
     )
 
 
-# -- struct-of-arrays backends ----------------------------------------------
+# -- struct-of-arrays columns ------------------------------------------------
 
 
-class _PythonOps:
-    """Pure-Python SoA backend (``array``-free lists; identical integer
-    semantics to the numpy one — Python's floor division IS the spec)."""
+class _Columns:
+    """Per-station private state as parallel lists, one index per station.
 
-    vectorized = False
+    Plain lists beat numpy at every station count the repo simulates: the
+    per-slot work is a short scan that skips empty queues early, and the
+    column updates are scalar writes that numpy would box and unbox.
+    """
 
     def __init__(self, statics: list[tuple[int, ...]]) -> None:
         z = len(statics)
@@ -291,97 +264,6 @@ class _PythonOps:
         return self.cursor[i]
 
 
-class _NumpyOps:
-    """Vectorized SoA backend: one slot's offer mask is a handful of
-    element-wise int64/bool ops over all z stations."""
-
-    vectorized = True
-
-    def __init__(self, statics: list[tuple[int, ...]], np) -> None:
-        z = len(statics)
-        self.z = z
-        self.np = np
-        self.statics = statics
-        self.head_dm = np.full(z, _EMPTY, dtype=np.int64)
-        self.member = np.zeros(z, dtype=bool)
-        self.cursor = np.zeros(z, dtype=np.int64)
-        self._firsts = np.asarray([s[0] for s in statics], dtype=np.int64)
-        self.cur_static = self._firsts.copy()
-        self.nonempty = 0
-        self._offer_mask = np.zeros(z, dtype=bool)
-
-    def set_head(self, i: int, dm: int) -> None:
-        old = int(self.head_dm[i])
-        self.head_dm[i] = dm
-        self.nonempty += (dm != _EMPTY) - (old != _EMPTY)
-
-    def set_private(self, i: int, member: bool, cursor: int) -> None:
-        self.member[i] = member
-        self.cursor[i] = cursor
-        statics = self.statics[i]
-        self.cur_static[i] = statics[cursor] if cursor < len(statics) else -1
-
-    def clear_offers(self) -> None:
-        self._offer_mask = self.np.zeros(self.z, dtype=bool)
-
-    def _resolve(self, mask) -> tuple[int, int]:
-        self._offer_mask = mask
-        wire = int(mask.sum())
-        return wire, int(mask.argmax()) if wire == 1 else -1
-
-    def free_offers(self) -> tuple[int, int]:
-        return self._resolve(self.head_dm != _EMPTY)
-
-    def tts_offers(
-        self, base: int, width: int, frontier: int, lo: int, hi: int
-    ) -> tuple[int, int]:
-        np = self.np
-        index = np.maximum((self.head_dm - base) // width, frontier)
-        mask = (self.head_dm != _EMPTY) & (index >= lo) & (index < hi)
-        return self._resolve(mask)
-
-    def sts_offers(
-        self,
-        base: int,
-        width: int,
-        frontier: int,
-        leaf_lo: int,
-        lo: int,
-        hi: int,
-    ) -> tuple[int, int]:
-        np = self.np
-        index = np.maximum((self.head_dm - base) // width, frontier)
-        mask = (
-            self.member
-            & (self.cur_static >= lo)
-            & (self.cur_static < hi)
-            & (self.head_dm != _EMPTY)
-            & (index == leaf_lo)
-        )
-        return self._resolve(mask)
-
-    def adopt_members(self) -> None:
-        self.member = self._offer_mask.copy()
-        self.cursor = self.np.zeros(self.z, dtype=self.np.int64)
-        self.cur_static = self._firsts.copy()
-
-    def clear_members(self) -> None:
-        self.member = self.np.zeros(self.z, dtype=bool)
-        self.cursor = self.np.zeros(self.z, dtype=self.np.int64)
-
-    def advance_cursor(self, i: int) -> None:
-        cursor = int(self.cursor[i]) + 1
-        self.cursor[i] = cursor
-        statics = self.statics[i]
-        self.cur_static[i] = statics[cursor] if cursor < len(statics) else -1
-
-    def member_of(self, i: int) -> bool:
-        return bool(self.member[i])
-
-    def cursor_of(self, i: int) -> int:
-        return int(self.cursor[i])
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
@@ -393,13 +275,10 @@ class BatchKernel:
     """One eligible channel's batch-slot round loop.
 
     Build only after :func:`batch_unavailable_reason` returned ``None``
-    (``BroadcastChannel.run_batch`` does this).  ``force_python`` pins the
-    pure-Python backend regardless of numpy availability (parity tests).
+    (``BroadcastChannel.run`` does this).
     """
 
-    def __init__(
-        self, channel: "BroadcastChannel", force_python: bool = False
-    ) -> None:
+    def __init__(self, channel: "BroadcastChannel") -> None:
         self.channel = channel
         self.env = channel.env
         self.stations = channel.stations
@@ -417,6 +296,8 @@ class BatchKernel:
         self.monitors = channel.monitors
         self.trace = channel.trace
         self.trace_on = channel.trace.enabled
+        self.tracer = channel.tracer
+        self.tracer_on = channel.tracer.enabled
         telemetry = channel.telemetry
         self.telemetry = telemetry
         self.telemetry_on = telemetry.enabled
@@ -438,21 +319,9 @@ class BatchKernel:
 
         config: DDCRConfig = self.stations[0].mac.config
         self.config = config
-        #: Why the vectorized backend was not used (``None`` when it was).
-        self.backend_note: str | None = None
-        np_module, np_reason = _load_numpy()
-        if force_python:
-            np_module = None
-            self.backend_note = "pure-python backend (forced)"
-        elif np_reason is not None:
-            self.backend_note = np_reason
-        statics = [station.static_indices for station in self.stations]
-        if np_module is not None:
-            self.backend: _NumpyOps | _PythonOps = _NumpyOps(
-                statics, np_module
-            )
-        else:
-            self.backend = _PythonOps(statics)
+        self.columns = _Columns(
+            [station.static_indices for station in self.stations]
+        )
 
         # The shadow replica: a real DDCR automaton on a dummy station.
         # Its station id (-1) never matches a frame, so ``mine`` is always
@@ -473,21 +342,26 @@ class BatchKernel:
         replica.empty_tts_runs = seed_mac.empty_tts_runs
         self.replica = replica
 
-        backend = self.backend
+        columns = self.columns
         self._next_arrival = [_NEVER] * len(self.stations)
         for i, station in enumerate(self.stations):
             mac = station.mac
-            backend.set_private(i, mac._sts_member, mac._sts_cursor)
+            columns.set_private(i, mac._sts_member, mac._sts_cursor)
             self._refresh_head(i)
             due = station.peek_next_arrival()
             self._next_arrival[i] = _NEVER if due is None else due
         self._next_due = min(self._next_arrival, default=_NEVER)
         # Idle stretches may be batch-advanced only when nothing demands a
         # per-slot side effect: no noise gates (one RNG draw per slot), no
-        # monitors, no trace records.  Telemetry is fine — the silence
-        # counter supports bulk increments.
+        # trace records or flight-recorder events, and no monitor that can
+        # only digest slots one by one.  Telemetry is fine — the silence
+        # counter supports bulk increments — and so are monitors with a
+        # bulk ``on_idle``.
         self._leap_ok = (
-            not self.noise_gates and self.monitors is None and not self.trace_on
+            not self.noise_gates
+            and not self.trace_on
+            and not self.tracer_on
+            and (self.monitors is None or self.monitors.idle_ok)
         )
 
     # -- per-station private state refresh --------------------------------
@@ -495,9 +369,9 @@ class BatchKernel:
     def _refresh_head(self, i: int) -> None:
         head = self.stations[i].queue_head()
         if head is None:
-            self.backend.set_head(i, _EMPTY)
+            self.columns.set_head(i, _EMPTY)
         else:
-            self.backend.set_head(
+            self.columns.set_head(
                 i,
                 mac_visible_deadline(
                     head.arrival, head.relative_deadline, self.config
@@ -569,6 +443,8 @@ class BatchKernel:
         channel.observations += n
         if self.telemetry_on:
             self.ctr_silence.inc(n)
+        if self.monitors is not None:
+            self.monitors.on_idle(now, n, slot_time)
         if mode is DDCRMode.TTS:
             replica.reft += n * self.config.theta
             replica.empty_tts_runs += n
@@ -582,22 +458,22 @@ class BatchKernel:
         stats = self.stats
         slot_time = self.slot_time
         replica = self.replica
-        backend = self.backend
+        columns = self.columns
         if self._next_due <= now:
             self._deliver_arrivals(now)
-        if backend.nonempty == 0:
+        if columns.nonempty == 0:
             if self._leap_ok:
                 leaped = self._try_leap(now, horizon)
                 if leaped:
                     return leaped * slot_time
             wire, winner = 0, -1
-            backend.clear_offers()
+            columns.clear_offers()
         else:
             mode = replica.mode
             if mode is DDCRMode.TTS:
                 search = replica.tts.search
                 node = search.agenda[-1]
-                wire, winner = backend.tts_offers(
+                wire, winner = columns.tts_offers(
                     self.config.alpha + replica.reft,
                     self.config.class_width,
                     search.frontier,
@@ -606,7 +482,7 @@ class BatchKernel:
                 )
             elif mode is DDCRMode.STS:
                 node = replica.sts.search.agenda[-1]
-                wire, winner = backend.sts_offers(
+                wire, winner = columns.sts_offers(
                     self.config.alpha + replica.reft,
                     self.config.class_width,
                     replica.tts.search.frontier,
@@ -615,7 +491,7 @@ class BatchKernel:
                     node.hi,
                 )
             else:  # FREE / ATTEMPT
-                wire, winner = backend.free_offers()
+                wire, winner = columns.free_offers()
         jam_from = channel.jam_from
         jammed = jam_from is not None and now >= jam_from and (
             channel.jam_until is None or now < channel.jam_until
@@ -660,6 +536,10 @@ class BatchKernel:
                 self.trace.emit(
                     now, "slot", state="corrupted", duration=slot_time,
                     source=None, msg=None,
+                )
+            if self.tracer_on:
+                self.tracer.emit(
+                    "channel/slot", t=now, state="corrupted", wire=wire,
                 )
             return slot_time
         if wire == 0:
@@ -732,6 +612,18 @@ class BatchKernel:
                 source=None if frame is None else frame.station_id,
                 msg=None if frame is None else frame.message.msg_class.name,
             )
+        if self.tracer_on:
+            if frame is None:
+                self.tracer.emit(
+                    "channel/slot", t=now, state=state.value,
+                    duration=duration,
+                )
+            else:
+                self.tracer.emit(
+                    "channel/slot", t=now, state=state.value,
+                    duration=duration, source=frame.station_id,
+                    msg=frame.message.msg_class.name,
+                )
         return duration
 
     def _observe(
@@ -739,7 +631,7 @@ class BatchKernel:
     ) -> None:
         """Shared transitions via the replica, private ones via the arrays."""
         replica = self.replica
-        backend = self.backend
+        columns = self.columns
         pre_mode = replica.mode
         if (
             state is _COLLISION
@@ -749,14 +641,14 @@ class BatchKernel:
             # Time-leaf collision opens the nested static search: its
             # members are exactly this slot's offerers (also on corrupted
             # slots — the DES stations snapshot ``_offered`` the same way).
-            backend.adopt_members()
+            columns.adopt_members()
         replica.observe(observation)
         if pre_mode is DDCRMode.STS:
             if state is _SUCCESS:
                 # Ranked order is private: only the transmitter advances.
-                backend.advance_cursor(winner)
+                columns.advance_cursor(winner)
             if replica.sts is None:
-                backend.clear_members()
+                columns.clear_members()
 
     # -- state write-back --------------------------------------------------
 
@@ -769,7 +661,7 @@ class BatchKernel:
         itself on a mid-run rejoin.
         """
         replica = self.replica
-        backend = self.backend
+        columns = self.columns
         tts_records = replica.tts_records
         sts_records = replica.sts_records
         for i, station in enumerate(self.stations):
@@ -779,8 +671,8 @@ class BatchKernel:
             mac.tts = _copy_tts(replica.tts)
             mac.sts = _copy_sts(replica.sts)
             mac._pending_leaf = replica._pending_leaf
-            mac._sts_member = backend.member_of(i)
-            mac._sts_cursor = backend.cursor_of(i)
+            mac._sts_member = columns.member_of(i)
+            mac._sts_cursor = columns.cursor_of(i)
             mac._offered = None
             mac._burst_owner = None
             mac._burst_budget = 0
@@ -793,8 +685,10 @@ class BatchKernel:
     def run(self, horizon: int) -> None:
         """Run the round loop to ``horizon``, owning the clock.
 
-        Mirrors ``run_fast``'s contract: on return ``env.now == horizon``,
-        and if a foreign event appears mid-run the kernel writes the MAC
+        Mirrors ``env.run(until=horizon)``: on return ``env.now ==
+        horizon``.  The loop advances the clock itself with
+        :meth:`~repro.sim.engine.Environment.advance_to`, touching no event
+        heap; if a foreign event appears mid-run the kernel writes the MAC
         state back and rejoins the general DES after the current slot.
         """
         env = self.env

@@ -13,30 +13,24 @@ entry point turns the crank: :meth:`BroadcastChannel.run` resolves the
 engine request (explicit argument, ambient :func:`~repro.net.engine.use_engine`
 scope, ``REPRO_ENGINE``, default ``auto``) through
 :func:`~repro.net.engine.resolve_engine` — the single place engine
-resolution happens — and dispatches to one of three internal tiers:
+resolution happens — and dispatches to one of two engines:
 
-* the general-DES path: a generator process on
+* the struct-of-arrays batch kernel (:mod:`repro.net.batch`), the fast
+  engine behind ``auto`` and ``batch``: per-station state lives in list
+  columns and one shadow protocol replica digests each slot, so the
+  per-slot cost is near-constant in the station count.  It is
+  structurally limited to plain single-bus CSMA/DDCR runs; anything else
+  runs on the DES with the reason reported (and recorded in run
+  manifests).
+* the general DES, the reference engine: a generator process on
   :class:`~repro.sim.engine.Environment` that yields one timeout per
-  round.  It composes with arbitrary foreign processes; multi-channel
-  topologies (dual bus, the fabric) obtain the raw generator via
+  round and drives every station's MAC through :class:`_RoundDriver`.
+  It composes with arbitrary foreign processes; multi-channel topologies
+  (dual bus, the fabric) obtain the raw generator via
   :meth:`BroadcastChannel.process` and register it themselves.
-* the slot-synchronous fast path (``fastloop``/``auto``): a direct Python
-  loop that owns the clock and advances ``env.now`` itself, skipping the
-  event heap, the generator suspend/resume and the per-round timeout
-  allocation.  The moment any foreign event appears on the queue it
-  rejoins the DES mid-run, so it is always safe to select.
-* the struct-of-arrays batch kernel (:mod:`repro.net.batch`):
-  per-station state lives in array columns and one shadow protocol
-  replica digests each slot, so the per-slot cost is near-constant in
-  the station count.  It is structurally limited to plain single-bus
-  CSMA/DDCR runs; anything else auto-falls-back to the fast loop with
-  the reason reported (and recorded in run manifests).
 
-The historical per-engine entry points ``run_fast``/``run_batch`` remain
-as thin deprecated aliases of ``run(horizon, engine=...)``.
-
-All engines draw from the same RNG in the same order, so their results
-are byte-identical (the differential tests assert this, three ways).  The
+Both engines draw from the same RNG in the same order, so their results
+are byte-identical (the differential tests assert this).  The
 channel also keeps slot-level accounting (how many slots of each kind,
 payload bits delivered) and emits one trace record per round when tracing
 is enabled.
@@ -47,7 +41,6 @@ from __future__ import annotations
 import dataclasses
 import random
 import typing
-import warnings
 
 from repro.net.engine import resolve_engine
 from repro.net.frames import Frame
@@ -158,8 +151,8 @@ class _RoundDriver:
         self.faults = channel.faults
         if self.faults is not None:
             # Fault-plan gates are armed once on the injector and carry
-            # their own state, so a mid-run driver rebuild (the fast
-            # loop's DES rejoin) resumes them rather than resetting.
+            # their own state, so a driver rebuild resumes them rather
+            # than resetting.
             gates.extend(self.faults.noise_gates)
         self.noise_gates = tuple(gates)
         self.monitors = channel.monitors
@@ -168,7 +161,7 @@ class _RoundDriver:
         self.check = channel.check_consistency
         # Telemetry instruments, hoisted once per driver build.  They are
         # fetched by name from the registry, so a mid-run rebuild (the
-        # fast loop's DES rejoin) resumes the same counters.
+        # batch kernel's DES rejoin) resumes the same counters.
         telemetry = channel.telemetry
         self.telemetry = telemetry
         self.telemetry_on = telemetry.enabled
@@ -475,9 +468,12 @@ class BroadcastChannel:
         #: the injector's :meth:`~repro.faults.runtime.FaultInjector.arm`
         #: ran against this channel.
         self.faults = None
-        #: A :class:`~repro.sim.invariants.MonitorSuite`, or None.  The
-        #: round driver feeds it every slot under either engine.
+        #: A :class:`~repro.sim.invariants.MonitorSuite`, or None.  Both
+        #: engines feed it every slot.
         self.monitors = None
+        #: The engine tier the last :meth:`run` executed on (``"batch"``
+        #: or ``"des"``), ``None`` before any run.
+        self.engine_ran: str | None = None
 
     def attach(self, station: "Station") -> None:
         if any(s.station_id == station.station_id for s in self.stations):
@@ -493,41 +489,48 @@ class BroadcastChannel:
     def run(self, horizon: int, engine: str | None = None) -> str | None:
         """Run the round loop to ``horizon`` bit-times; returns a fallback note.
 
-        The one entry point behind which every engine tier sits.
-        ``engine`` accepts any name from :data:`~repro.net.engine.ENGINES`;
-        ``None`` (default) defers to the ambient
-        :func:`~repro.net.engine.use_engine` scope, the ``REPRO_ENGINE``
-        environment variable, or ``auto`` — resolution happens in exactly
-        one place, :func:`~repro.net.engine.resolve_engine`.
+        The one entry point behind which both engines sit.  ``engine``
+        accepts any name from :data:`~repro.net.engine.ENGINES`; ``None``
+        (default) defers to the ambient :func:`~repro.net.engine.use_engine`
+        scope, the ``REPRO_ENGINE`` environment variable, or ``auto`` —
+        resolution happens in exactly one place,
+        :func:`~repro.net.engine.resolve_engine`.
 
         * ``"des"`` registers the channel's generator process
           (:meth:`process`) on the environment and drives the event heap
           to the horizon.
-        * ``"fastloop"`` / ``"auto"`` run the slot-synchronous fast path,
-          which rejoins the DES automatically if foreign events appear.
-        * ``"batch"`` runs the struct-of-arrays kernel, delegating to the
-          fast loop on structurally ineligible runs.
+        * ``"auto"`` / ``"batch"`` run the struct-of-arrays kernel, or the
+          DES on structurally ineligible runs.
 
-        The return value is ``None`` except when a requested tier
-        degraded: the batch kernel's backend note, or the reason a batch
-        run delegated to the fast loop (the simulation layer records it
-        in the run manifest as ``engine_fallback``).  Results are
+        The return value is ``None`` except when a batch request ran on
+        the DES: then it is the reason (the simulation layer records it
+        in the run manifest as ``engine_fallback``).  The tier that
+        actually executed is left in :attr:`engine_ran`.  Results are
         byte-identical across engines either way.
 
         Multi-channel topologies that need several channels on one clock
         should register each channel's :meth:`process` generator instead
         of calling ``run`` per channel.
         """
-        engine_name = resolve_engine(engine)
-        if engine_name == "des":
-            self._check_runnable(horizon)
-            env = self.env
-            env.process(self.process(horizon))
-            env.run(until=horizon)
-            return None
-        if engine_name == "batch":
-            return self._run_batch(horizon)
-        return self._run_fast(horizon)
+        self._check_runnable(horizon)
+        note = None
+        if resolve_engine(engine) != "des":
+            # Eligibility is structural, decided before the first slot;
+            # a foreign event appearing mid-run makes the kernel itself
+            # rejoin the DES after the current slot.
+            from repro.net.batch import BatchKernel, batch_unavailable_reason
+
+            reason = batch_unavailable_reason(self)
+            if reason is None:
+                self.engine_ran = "batch"
+                BatchKernel(self).run(horizon)
+                return None
+            note = f"batch engine unavailable ({reason}): ran des"
+        self.engine_ran = "des"
+        env = self.env
+        env.process(self.process(horizon))
+        env.run(until=horizon)
+        return note
 
     def process(self, horizon: int) -> ProcessGenerator:
         """The channel as a raw DES generator: one timeout yield per round.
@@ -539,89 +542,13 @@ class BroadcastChannel:
         environment itself.
         """
         self._check_runnable(horizon)
-        driver = _RoundDriver(self)
+        round_ = _RoundDriver(self).round
         env = self.env
-        while env.now < horizon:
-            yield env.timeout(driver.round(int(env.now)))
-
-    def _run_fast(self, horizon: int) -> None:
-        """Run the round loop to ``horizon`` as a direct loop owning the clock.
-
-        The slot-loop fast path: while this channel is the only
-        time-advancing activity (no events on the environment's queue), no
-        heap operations, generator suspensions or timeout events happen at
-        all — the loop advances ``env.now`` itself after each round.
-
-        Fallback is automatic and exact: if foreign events are pending at
-        entry, the whole run happens on the DES; if one appears mid-run
-        (a process registered by a trace subscriber, a host extension),
-        the loop re-enters the event queue *after the current round's
-        slot*, which is precisely where the DES path would interleave it.
-        On return, ``env.now == horizon`` exactly as with
-        ``env.run(until=horizon)``.
-        """
-        self._check_runnable(horizon)
-        env = self.env
-        if env.pending:
-            env.process(self.process(horizon))
-            env.run(until=horizon)
-            return
-        driver = _RoundDriver(self)
-        round_ = driver.round
+        timeout = env.timeout
         now = env.now
         while now < horizon:
-            duration = round_(int(now))
-            if env.pending:
-                env.process(self._rejoin_des(horizon, duration))
-                env.run(until=horizon)
-                return
-            now += duration
-            env.advance_to(now if now < horizon else horizon)
-
-    def _run_batch(self, horizon: int) -> str | None:
-        """Run to ``horizon`` on the batch kernel; returns a fallback note.
-
-        Structural eligibility is decided up front
-        (:func:`repro.net.batch.batch_unavailable_reason`): ineligible runs
-        delegate to the fast loop — behavior-identical, just slower —
-        and the reason is returned so callers can surface it (the
-        simulation layer records it in the run manifest as
-        ``engine_fallback``).  Eligible runs return the kernel's backend
-        note: ``None`` on the vectorized backend, or why the pure-Python
-        one was used (numpy missing).  Either way the result is
-        byte-identical to the other engines, and a foreign event appearing
-        mid-run rejoins the general DES exactly as the fast loop does.
-        """
-        self._check_runnable(horizon)
-        from repro.net.batch import BatchKernel, batch_unavailable_reason
-
-        reason = batch_unavailable_reason(self)
-        if reason is not None:
-            self._run_fast(horizon)
-            return f"batch engine unavailable ({reason}): ran fastloop"
-        kernel = BatchKernel(self)
-        kernel.run(horizon)
-        return kernel.backend_note
-
-    def run_fast(self, horizon: int) -> None:
-        """Deprecated alias of ``run(horizon, engine="fastloop")``."""
-        warnings.warn(
-            "BroadcastChannel.run_fast() is deprecated; call "
-            "run(horizon, engine=\"fastloop\") instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.run(horizon, engine="fastloop")
-
-    def run_batch(self, horizon: int) -> str | None:
-        """Deprecated alias of ``run(horizon, engine="batch")``."""
-        warnings.warn(
-            "BroadcastChannel.run_batch() is deprecated; call "
-            "run(horizon, engine=\"batch\") instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(horizon, engine="batch")
+            yield timeout(round_(int(now)))
+            now = env.now
 
     def _rejoin_des(self, horizon: int, delay: int) -> ProcessGenerator:
         """Resume the round loop on the event heap after ``delay``."""

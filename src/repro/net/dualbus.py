@@ -201,12 +201,11 @@ class DualBusSimulation:
     :class:`~repro.net.network.NetworkSimulation`.
 
     A dual-bus network has two time-advancing channel processes on one
-    clock, so the slot-loop fast path cannot own it: whatever ``engine``
-    is requested, the run executes on the general DES.  With
-    ``fastloop``/``auto`` this happens through the fast path's own
-    foreign-process fallback (bus B's fast loop finds bus A's process
-    already registered and rejoins the heap), which keeps that fallback
-    exercised by real traffic rather than only by tests.
+    clock, so the batch kernel cannot own it: whatever ``engine`` is
+    requested, the run executes on the general DES.  Under
+    ``batch``/``auto`` this happens through the batch engine's structural
+    fallback (bus B finds bus A's process already registered), so the
+    manifest records the reason.
 
     ``monitors=True`` arms a mutual-exclusion
     :class:`~repro.sim.invariants.MonitorSuite` on each bus (per-bus
@@ -322,11 +321,9 @@ class DualBusSimulation:
         # Two channels on one clock: bus A runs as a raw generator
         # process, and bus B goes through the unified entry point.  Under
         # ``des`` it registers its own generator and drives the heap;
-        # under ``fastloop``/``auto`` the fast path detects bus A's
-        # foreign process at entry and rejoins the DES; under ``batch``
-        # structural eligibility fails for the same reason and the run
-        # delegates through the fast loop — the engine contract's
-        # fallback, with the reason surfaced in the manifest.
+        # under ``batch``/``auto`` structural eligibility fails (bus A's
+        # process is pending at entry) and the run goes to the DES — the
+        # engine contract's fallback, with the reason in the manifest.
         env.process(busses[0].process(horizon))
         engine_fallback = busses[1].run(horizon, engine=engine_name)
         invariants = None
@@ -343,7 +340,7 @@ class DualBusSimulation:
                 manifest = RunTelemetry.from_registry(
                     telemetry,
                     run_id="dualbus",
-                    engine=engine_name,
+                    engine=busses[1].engine_ran,
                     engine_fallback=engine_fallback,
                 )
         return DualBusResult(

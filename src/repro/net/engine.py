@@ -1,43 +1,37 @@
-"""Simulation engine selection: DES, the slot-loop fast path, or batch.
+"""Simulation engine selection: the batch kernel or the DES.
 
-Three engines can turn the broadcast channel's crank:
+Two engines can turn the broadcast channel's crank:
 
-* ``des`` — the general discrete-event kernel: the channel runs as a
-  generator process on :class:`~repro.sim.engine.Environment`, every round
-  is a heap push/pop plus a generator suspend/resume.  Always correct,
-  composes with arbitrary foreign processes.
-* ``fastloop`` — the slot-synchronous fast path: when the channel is the
-  only time-advancing activity (the common case — stations are driven
-  synchronously through ``offer()``/``observe()``), the round loop runs as
-  a direct Python loop that owns the clock and advances ``env.now``
-  itself, bypassing the event heap entirely.  It falls back to the DES
-  automatically the moment any foreign event is scheduled (dual-bus
-  topologies, host extension processes), so selecting it is always safe.
-* ``batch`` — the struct-of-arrays kernel (:mod:`repro.net.batch`):
-  per-station EDF keys and tree positions live in array columns (numpy
-  when the ``[perf]`` extra is installed, a pure-Python twin otherwise)
-  and one shadow protocol replica digests each slot, so per-slot cost is
-  near-constant in the station count.  Structurally limited to plain
-  single-bus CSMA/DDCR runs; anything else (foreign MAC types, bursting,
-  fault injectors, dual-bus, non-destructive media) auto-falls-back to
-  ``fastloop`` with the reason recorded in the run manifest
-  (``engine_fallback``).  Selecting it is therefore always safe too.
-* ``auto`` — pick ``fastloop`` where structurally possible, ``des``
-  otherwise.  Since the fast loop already self-detects foreign processes,
-  ``auto`` and ``fastloop`` take the same code path today; ``auto`` is the
-  forward-compatible spelling.  ``batch`` stays opt-in for now: it is the
-  newest tier, and keeping ``auto`` on the fast loop preserves one
-  engine-independent reference path in every default run.
+* ``des`` — the general discrete-event kernel and the reference engine:
+  the channel runs as a generator process on
+  :class:`~repro.sim.engine.Environment`, every round is a heap push/pop
+  plus a generator suspend/resume, and every station's MAC is asked to
+  ``offer`` and ``observe`` once per slot.  Always correct, composes with
+  arbitrary foreign processes, protocols and fault injectors.
+* ``batch`` — the struct-of-arrays kernel (:mod:`repro.net.batch`), the
+  fast engine: it owns the clock in a direct loop, keeps per-station EDF
+  keys and tree positions in plain list columns, and lets one shadow
+  protocol replica digest each slot (the paper's lockstep property), so
+  per-slot cost is near-constant in the station count and provably idle
+  stretches advance in O(1).  Structurally limited to plain single-bus
+  CSMA/DDCR runs; anything else (foreign MAC types, bursting, fault
+  injectors, dual-bus, non-destructive media) runs on the DES instead,
+  with the reason recorded in the run manifest (``engine_fallback``).
+  If a foreign process appears mid-run the kernel rejoins the DES after
+  the current slot.  Selecting it is therefore always safe.
+* ``auto`` (the default) — ``batch`` when
+  :func:`repro.net.batch.batch_unavailable_reason` finds the run
+  eligible, ``des`` otherwise.  It behaves exactly like ``batch``; the
+  separate name says "whatever is fastest" rather than pinning a tier.
 
-All engines execute the *identical* round semantics and draw from the
+Both engines execute the *identical* round semantics and draw from the
 same RNG streams in the same order, so results — channel statistics,
 completion records, trace streams — are byte-identical.  The runtime
 layer therefore excludes the engine from result cache keys.  This
-equivalence extends to the fault-injection and invariant layers: an armed
-:class:`~repro.faults.runtime.FaultInjector` and any
-:class:`~repro.sim.invariants.MonitorSuite` are driven identically, so
-fault timelines and violation reports are also byte-identical across
-engines (enforced by the three-way differential tests).
+equivalence extends to the fault-injection and invariant layers: armed
+:class:`~repro.sim.invariants.MonitorSuite` reports and telemetry
+manifests are byte-identical across engines (enforced by the
+engine-differential tests).
 
 The process-wide default is ``auto``; override it with the
 ``REPRO_ENGINE`` environment variable, per-simulation via
@@ -53,7 +47,6 @@ from repro.context import ScopedValue
 
 __all__ = [
     "ENGINES",
-    "batch_capability",
     "default_engine",
     "set_default_engine",
     "resolve_engine",
@@ -61,7 +54,7 @@ __all__ = [
 ]
 
 #: Legal engine names.
-ENGINES = ("auto", "des", "fastloop", "batch")
+ENGINES = ("auto", "des", "batch")
 
 
 def _validate(name: str) -> str:
@@ -104,16 +97,3 @@ def resolve_engine(name: str | None) -> str:
         return default_engine()
     return _validate(name)
 
-
-def batch_capability() -> str | None:
-    """Why the batch engine's vectorized backend is unavailable, or None.
-
-    ``None`` means numpy imported fine and batch runs vectorized.  A
-    string means batch still works — on the pure-Python twin backend,
-    byte-identical but slower — and explains why; the simulation layer
-    surfaces the same string in the run manifest's ``engine_fallback``
-    field when a batch run degrades.
-    """
-    from repro.net.batch import numpy_unavailable_reason
-
-    return numpy_unavailable_reason()

@@ -349,6 +349,7 @@ class Fabric:
         journeys: list[_Journey] = []
         results: dict[str, RunResult] = {}
         fallbacks: dict[str, str | None] = {}
+        tiers: set[str] = set()
         for name in order:
             segment = topology.segment(name)
             inbound = topology.bridges_into(name)
@@ -406,6 +407,7 @@ class Fabric:
             results[name] = result
             if result.telemetry is not None:
                 fallbacks[name] = result.telemetry.engine_fallback
+                tiers.add(result.telemetry.engine)
             self._match_inbound(name, inbound, states, result, index)
             self._forward_outbound(
                 name,
@@ -431,7 +433,7 @@ class Fabric:
             for j in journeys
         )
         manifest = self._finalize(
-            single, results, reports, records, fallbacks, started
+            single, results, reports, records, fallbacks, tiers, started
         )
         return FabricResult(
             horizon=horizon,
@@ -554,6 +556,7 @@ class Fabric:
         reports: tuple[BridgeReport, ...],
         records: tuple[EndToEndRecord, ...],
         fallbacks: dict[str, str | None],
+        tiers: set[str],
         started: float,
     ) -> RunTelemetry | None:
         """Fabric-level instruments and the combined manifest.
@@ -606,7 +609,9 @@ class Fabric:
         return RunTelemetry.from_registry(
             topology.telemetry,
             run_id="fabric",
-            engine=topology.engine,
+            # The tier(s) the segments executed on, e.g. ``batch`` or
+            # ``batch+des`` when some segment was batch-ineligible.
+            engine="+".join(sorted(tiers)) or None,
             engine_fallback=note or None,
             seed=topology.root_seed,
             faults=topology.faults

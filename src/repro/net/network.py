@@ -120,15 +120,13 @@ class NetworkSimulation:
 
     ``engine`` selects how the channel's round loop is driven (see
     :mod:`repro.net.engine`): ``"des"`` runs it as a process on the
-    event-heap kernel, ``"fastloop"``/``"auto"`` as a direct slot loop
-    that bypasses the heap and falls back to the DES automatically when
-    foreign processes share the environment, and ``"batch"`` on the
-    struct-of-arrays kernel (:mod:`repro.net.batch`) with automatic
-    fallback to the fast loop on structurally ineligible runs (the
-    reason is recorded in the run manifest).  ``None`` (default) defers
-    to the process-wide default (``auto`` unless overridden).  Engines
-    are result-equivalent: the same run under any engine yields
-    byte-identical statistics, completions and traces.
+    event-heap kernel, and ``"batch"``/``"auto"`` on the struct-of-arrays
+    kernel (:mod:`repro.net.batch`), which runs structurally ineligible
+    runs on the DES instead (the reason is recorded in the run manifest).
+    ``None`` (default) defers to the process-wide default (``auto`` unless
+    overridden).  Engines are result-equivalent: the same run under
+    either engine yields byte-identical statistics, completions and
+    traces.
 
     ``faults`` arms a :class:`~repro.faults.models.FaultPlan` on the
     channel; ``None`` (default) picks up the ambient scoped plan
@@ -351,11 +349,10 @@ class NetworkSimulation:
             channel.monitors = suite
         # The channel's unified entry point owns all engine dispatch:
         # ``des`` registers the round process and drives the heap,
-        # ``fastloop``/``auto`` runs the direct slot loop (rejoining the
-        # DES when foreign processes share the environment), ``batch``
-        # runs the struct-of-arrays kernel with fast-loop fallback on
-        # structurally ineligible runs.  Whatever degraded is returned
-        # as the fallback note and lands in the manifest.
+        # ``batch``/``auto`` runs the struct-of-arrays kernel, or the DES
+        # on structurally ineligible runs.  Why a batch request ran on
+        # the DES is returned as the fallback note and lands in the
+        # manifest, beside the tier that actually executed.
         engine_fallback = channel.run(horizon, engine=engine_name)
         invariants = None
         if suite is not None:
@@ -373,7 +370,7 @@ class NetworkSimulation:
                 manifest = RunTelemetry.from_registry(
                     telemetry,
                     run_id="simulation",
-                    engine=engine_name,
+                    engine=channel.engine_ran,
                     engine_fallback=engine_fallback,
                     seed=self.root_seed,
                     faults=plan if plan is not None and not plan.is_empty

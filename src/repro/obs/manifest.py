@@ -78,12 +78,14 @@ class RunTelemetry:
     """
 
     run_id: str
+    #: The engine tier that actually executed (``batch`` or ``des``; a
+    #: fabric whose segments differ reports e.g. ``batch+des``), not the
+    #: requested name.  Execution provenance, excluded from the content
+    #: projection.
     engine: str | None = None
-    #: Why the requested engine degraded or delegated (e.g. the batch
-    #: kernel ran on the pure-Python backend, or fell back to the fast
-    #: loop on a structurally ineligible run); ``None`` when it ran as
-    #: requested.  Execution provenance, excluded from the content
-    #: projection like ``engine`` itself.
+    #: Why a batch request ran on the DES (a structurally ineligible
+    #: run); ``None`` when it ran as requested.  Execution provenance,
+    #: excluded from the content projection like ``engine`` itself.
     engine_fallback: str | None = None
     seed: int | None = None
     git_rev: str = "unknown"

@@ -58,17 +58,17 @@ class Environment:
     def pending(self) -> bool:
         """True when any event is scheduled on the queue.
 
-        Slot-synchronous fast loops (:meth:`BroadcastChannel.run_fast
-        <repro.net.channel.BroadcastChannel.run_fast>`) poll this to detect
-        foreign processes: as long as it is False, the loop owns the clock
-        and may advance it directly via :meth:`advance_to`.
+        Slot-synchronous loops (the batch kernel,
+        :class:`repro.net.batch.BatchKernel`) poll this to detect foreign
+        processes: as long as it is False, the loop owns the clock and may
+        advance it directly via :meth:`advance_to`.
         """
         return bool(self._queue)
 
     def advance_to(self, time: int | float) -> None:
         """Advance the clock directly, without processing any event.
 
-        This is the slot-synchronous fast path's clock: a loop that is the
+        This is the batch kernel's clock: a loop that is the
         sole time-advancing activity may skip the event queue entirely and
         move ``now`` forward itself.  Refuses to move backwards or to jump
         over a scheduled event (which would corrupt the event heap's
@@ -154,9 +154,19 @@ class Environment:
                 marker._value = None
                 marker.callbacks = [self._stop_callback]
                 self._schedule(marker, delay=until - self._now)
+        # ``step`` inlined: this loop is the DES engine's per-event cost.
+        queue = self._queue
+        heappop = heapq.heappop
         try:
-            while self._queue:
-                self.step()
+            while queue:
+                when, _, _, event = heappop(queue)
+                self._now = when
+                callbacks = event.callbacks
+                event.callbacks = None
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    raise typing.cast(BaseException, event._value)
         except StopSimulation as stop:
             stop_value = stop.value
             if until_event is not None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import typing
 from collections.abc import Callable, Iterable
+from heapq import heappush
 
 from repro.sim.errors import SimulationError
 
@@ -116,11 +117,16 @@ class Timeout(Event):
     ) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # Event.__init__ and Environment._schedule (normal priority, 1)
+        # inlined: one Timeout per channel round makes this the DES
+        # engine's hottest constructor.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, delay=delay)
+        self._ok = True
+        self._defused = False
+        self.delay = delay
+        heappush(env._queue, (env._now + delay, 1, next(env._eid), self))
 
 
 class Condition(Event):

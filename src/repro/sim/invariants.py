@@ -4,11 +4,14 @@ The correctness results of the paper — mutual exclusion on the broadcast
 bus, deadline compliance under the feasibility condition FC (theorems
 P5/P6), and the bounded collision-resolution cost ``xi(k, t)`` of Eq. 1 —
 are turned here into *online monitors* hooked into the channel round loop.
-Each monitor watches every slot (under either engine: the round driver is
-engine-independent, so violation reports are byte-identical across ``des``
-and ``fastloop``) and records structured :class:`Violation` entries
-instead of silently passing; the aggregated :class:`InvariantReport` is
-attached to :class:`~repro.net.network.RunResult`.
+Each monitor watches every slot and records structured :class:`Violation`
+entries instead of silently passing; the aggregated
+:class:`InvariantReport` is attached to
+:class:`~repro.net.network.RunResult`.  Both engines feed the monitors the
+same slots, so violation reports are byte-identical across ``des`` and
+``batch``: the DES calls :meth:`InvariantMonitor.on_slot` once per round,
+and the batch kernel does too except across a provably idle stretch,
+which it hands over in one :meth:`InvariantMonitor.on_idle` call.
 
 Monitor-to-theorem mapping:
 
@@ -166,6 +169,16 @@ class InvariantMonitor:
         """Digest one channel round.  ``wire`` counts frames on the wire
         (real transmitters plus injected babble frames)."""
 
+    def on_idle(self, now: int, n: int, slot_time: int) -> None:
+        """Digest ``n`` idle slots at once, the first starting at ``now``.
+
+        Every one of them is a silent, uncorrupted slot of ``slot_time``
+        with nothing on the wire, no station down and every queue empty.
+        The result must equal ``n`` such :meth:`on_slot` calls.  A subclass
+        that overrides :meth:`on_slot` but not this hook makes its suite
+        slot-by-slot only (see :attr:`MonitorSuite.idle_ok`).
+        """
+
     def finalize(
         self,
         horizon: int,
@@ -224,6 +237,9 @@ class MutualExclusionMonitor(InvariantMonitor):
                     wire=wire,
                 )
 
+    def on_idle(self, now, n, slot_time) -> None:
+        pass  # silence with nothing on the wire is always consistent
+
 
 class DeadlineMonitor(InvariantMonitor):
     """Timeliness (P5/P6): no completion past its absolute deadline, no
@@ -252,6 +268,9 @@ class DeadlineMonitor(InvariantMonitor):
                 deadline=message.absolute_deadline,
                 completion=end,
             )
+
+    def on_idle(self, now, n, slot_time) -> None:
+        pass  # nothing completes on a silent slot
 
     def finalize(self, horizon, stations, down) -> None:
         for station in stations:
@@ -320,6 +339,10 @@ class WorkConservationMonitor(InvariantMonitor):
         self._streak = 0
         self._reported = False
 
+    def on_idle(self, now, n, slot_time) -> None:
+        self._streak = 0  # every queue is empty: nothing is backlogged
+        self._reported = False
+
 
 class SearchLengthMonitor(InvariantMonitor):
     """Eq. 1: collision resolution terminates within the ``xi`` budget.
@@ -366,6 +389,10 @@ class SearchLengthMonitor(InvariantMonitor):
                 )
             return
         self._streak = 0
+        self._reported = False
+
+    def on_idle(self, now, n, slot_time) -> None:
+        self._streak = 0  # a silent slot ends any collision run
         self._reported = False
 
     def finalize(self, horizon, stations, down) -> None:
@@ -508,6 +535,25 @@ class BridgeConservationMonitor(InvariantMonitor):
                 else:
                     self._cursor[name] = i + 1
                 self._forwarded += 1
+        self._check_occupancy(now)
+
+    def on_idle(self, now, n, slot_time) -> None:
+        entries = self._entries
+        last = now + (n - 1) * slot_time
+        if self._entered < len(entries) and entries[self._entered] <= last:
+            # A relay frame enters mid-stretch (the leap normally stops
+            # before one): replay slot by slot.
+            for k in range(n):
+                self.on_slot(
+                    now + k * slot_time, slot_time, _SILENCE, 0, None,
+                    False, False, [], None,
+                )
+            return
+        # Nothing enters and nothing is forwarded, so occupancy is
+        # constant: one check equals n (the rest are idempotent).
+        self._check_occupancy(now)
+
+    def _check_occupancy(self, now: int) -> None:
         occupancy = self._entered - self._forwarded
         if occupancy > self.capacity:
             if not self._over_reported:
@@ -573,18 +619,27 @@ class BridgeConservationMonitor(InvariantMonitor):
 class MonitorSuite:
     """The set of monitors armed on one channel.
 
-    The round driver calls :meth:`on_slot` exactly once per round — on
+    Both engines call :meth:`on_slot` exactly once per executed round — on
     both the corrupted early-return path and the normal resolution path —
-    under either engine, so a suite's report is an engine-independent
-    function of the run."""
+    and the batch kernel covers each idle stretch it leaps over with one
+    :meth:`on_idle`, so a suite's report is an engine-independent function
+    of the run."""
 
-    __slots__ = ("monitors", "slots_checked")
+    __slots__ = ("monitors", "slots_checked", "idle_ok")
 
     def __init__(self, monitors: typing.Sequence[InvariantMonitor]) -> None:
         if not monitors:
             raise ValueError("monitor suite needs at least one monitor")
         self.monitors = tuple(monitors)
         self.slots_checked = 0
+        #: Whether every monitor digests idle stretches in bulk: it either
+        #: implements :meth:`~InvariantMonitor.on_idle` or ignores slots.
+        #: The batch kernel leaps over idle stretches only when this holds.
+        self.idle_ok = all(
+            type(m).on_idle is not InvariantMonitor.on_idle
+            or type(m).on_slot is InvariantMonitor.on_slot
+            for m in self.monitors
+        )
 
     def on_slot(
         self,
@@ -604,6 +659,13 @@ class MonitorSuite:
                 now, duration, state, wire, frame, corrupted, jammed,
                 stations, down,
             )
+
+    def on_idle(self, now: int, n: int, slot_time: int) -> None:
+        """``n`` idle slots from ``now`` at once (see
+        :meth:`InvariantMonitor.on_idle`); only valid when :attr:`idle_ok`."""
+        self.slots_checked += n
+        for monitor in self.monitors:
+            monitor.on_idle(now, n, slot_time)
 
     def finalize(
         self,

@@ -70,11 +70,13 @@ class Process(Event):
         self.env._schedule(carrier, priority=0)
 
     def _resume(self, event: Event) -> None:
-        self.env._active_process = self
+        env = self.env
+        env._active_process = self
         # Detach from the previous target if we were interrupted away.
-        if self._target is not None and self._target.callbacks is not None:
-            if self._resume in self._target.callbacks:
-                self._target.callbacks.remove(self._resume)
+        target = self._target
+        if target is not None and target.callbacks is not None:
+            if self._resume in target.callbacks:
+                target.callbacks.remove(self._resume)
         self._target = None
         try:
             if event._ok:
@@ -85,31 +87,32 @@ class Process(Event):
                     typing.cast(BaseException, event._value)
                 )
         except StopIteration as stop:
-            self.env._active_process = None
+            env._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as error:
-            self.env._active_process = None
+            env._active_process = None
             self.fail(error)
             return
-        self.env._active_process = None
+        env._active_process = None
         if not isinstance(next_event, Event):
             self._generator.throw(
                 SimulationError(f"process yielded a non-event: {next_event!r}")
             )
             return
-        if next_event.env is not self.env:
+        if next_event.env is not env:
             raise SimulationError("process yielded an event from another env")
         self._target = next_event
-        if next_event.callbacks is None:
+        callbacks = next_event.callbacks
+        if callbacks is None:
             # Already processed: resume immediately at the current time.
-            carrier = Event(self.env)
+            carrier = Event(env)
             carrier._ok = next_event._ok
             carrier._value = next_event._value
             if not next_event._ok:
                 next_event.defuse()
                 carrier._defused = True
             carrier.callbacks = [self._resume]
-            self.env._schedule(carrier)
+            env._schedule(carrier)
         else:
-            next_event._add_callback(self._resume)
+            callbacks.append(self._resume)

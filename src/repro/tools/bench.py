@@ -452,30 +452,29 @@ def _bench_admission_bootstrap_cold(
 
 
 def _bench_invariant_overhead(smoke: bool, seed: int = 0) -> tuple[float, str]:
-    """The 16-station fastloop workload with the standard monitor suite
-    armed; compare against ``channel_slot_rate_16_fastloop`` (the same
-    workload, monitors off) for the per-round cost of online invariant
-    checking."""
-    return _channel_slot_rate(16, "fastloop", smoke, monitors=True, seed=seed)
+    """The 16-station DES workload with the standard monitor suite armed;
+    compare against ``channel_slot_rate_16_des`` (the same workload,
+    monitors off) for the per-round cost of online invariant checking.
+    The DES is the per-station path that pays every hook each round."""
+    return _channel_slot_rate(16, "des", smoke, monitors=True, seed=seed)
 
 
 def _bench_telemetry_overhead(smoke: bool, seed: int = 0) -> tuple[float, str]:
-    """The 16-station fastloop workload with a live telemetry registry
-    (slot counters plus per-class latency histograms recording every
-    round); compare against ``channel_slot_rate_16_fastloop`` for the
-    per-round cost of enabled telemetry.  The disabled case needs no
-    bench of its own: ``channel_slot_rate_16_fastloop`` *is* the
-    NULL_TELEMETRY path."""
-    return _channel_slot_rate(16, "fastloop", smoke, telemetry=True, seed=seed)
+    """The 16-station DES workload with a live telemetry registry (slot
+    counters plus per-class latency histograms recording every round);
+    compare against ``channel_slot_rate_16_des`` for the per-round cost
+    of enabled telemetry.  The disabled case needs no bench of its own:
+    ``channel_slot_rate_16_des`` *is* the NULL_TELEMETRY path."""
+    return _channel_slot_rate(16, "des", smoke, telemetry=True, seed=seed)
 
 
 def _bench_tracer_overhead(smoke: bool, seed: int = 0) -> tuple[float, str]:
-    """The 16-station fastloop workload with an armed flight recorder
-    (one ``channel/slot`` event appended to the bounded ring every
-    round); compare against ``channel_slot_rate_16_fastloop`` for the
-    per-round cost of enabled tracing.  As with telemetry, the disabled
-    case *is* the baseline bench — the NULL_TRACER hoisted gate."""
-    return _channel_slot_rate(16, "fastloop", smoke, tracer=True, seed=seed)
+    """The 16-station DES workload with an armed flight recorder (one
+    ``channel/slot`` event appended to the bounded ring every round);
+    compare against ``channel_slot_rate_16_des`` for the per-round cost
+    of enabled tracing.  As with telemetry, the disabled case *is* the
+    baseline bench — the NULL_TRACER hoisted gate."""
+    return _channel_slot_rate(16, "des", smoke, tracer=True, seed=seed)
 
 
 def _bench_fabric_end_to_end(smoke: bool, seed: int = 0) -> tuple[float, str]:
@@ -527,21 +526,20 @@ BENCHES: dict[
     "admission_bootstrap_cold": (None, _bench_admission_bootstrap_cold),
     "admission_decisions_per_sec": (None, _bench_admission_decisions),
     # The scaling story in one grid: per-station Python call overhead
-    # makes des/fastloop degrade linearly in z (fastloop loses its edge
-    # by z=16 already), while the batch kernel's struct-of-arrays slot
-    # stays near-constant — the 64/256 sizes exist to keep that claim
-    # measured, not asserted.
+    # makes the DES degrade linearly in z, while the batch kernel's
+    # struct-of-arrays slot stays near-constant — the 64/256 sizes exist
+    # to keep that claim measured, not asserted.
     **{
         f"channel_slot_rate_{stations}_{engine}": (
             engine,
             _make_slot_rate_bench(stations, engine),
         )
         for stations in (4, 16, 64, 256)
-        for engine in ("des", "fastloop", "batch")
+        for engine in ("des", "batch")
     },
-    "invariant_overhead": ("fastloop", _bench_invariant_overhead),
-    "telemetry_overhead": ("fastloop", _bench_telemetry_overhead),
-    "tracer_overhead": ("fastloop", _bench_tracer_overhead),
+    "invariant_overhead": ("des", _bench_invariant_overhead),
+    "telemetry_overhead": ("des", _bench_telemetry_overhead),
+    "tracer_overhead": ("des", _bench_tracer_overhead),
     # End-to-end fabric throughput: the staged multi-segment pipeline
     # (4 bridged segments x 64 stations) including bridge bookkeeping.
     "fabric_end_to_end": (None, _bench_fabric_end_to_end),
@@ -669,7 +667,8 @@ def history_entry(results: list[BenchResult], smoke: bool) -> dict[str, object]:
 
     ``benches`` maps name to the *median* ops/sec — the robust sample the
     perf-trend gate medians again across entries — with the best sample
-    kept alongside for inspection.
+    and the engine the bench ran on kept alongside (the gate compares a
+    bench only against samples taken on the same engine).
     """
     return {
         "schema": 1,
@@ -681,6 +680,7 @@ def history_entry(results: list[BenchResult], smoke: bool) -> dict[str, object]:
                 "ops_per_sec": result.median_ops_per_sec or result.ops_per_sec,
                 "best_ops_per_sec": result.ops_per_sec,
                 "repeats": result.repeats,
+                "engine": result.engine,
             }
             for result in results
         },

@@ -21,9 +21,9 @@ resolves the full experiment suite through the parallel runtime — cached
 results replay from ``.repro-cache`` so a no-change run is near-instant —
 then runs an invariants-smoke step (one faulted scenario per protocol
 with online invariant monitors, :mod:`repro.sim.invariants`; any
-violation fails CI; ``--no-invariants`` skips it — each scenario is also
-re-run on the ``batch`` engine and its results must match the default
-engine's exactly; ``--no-batch`` skips the batch re-runs), a feas-smoke
+violation fails CI; ``--no-invariants`` skips it — each scenario runs on
+the reference DES and is re-run on the ``batch`` engine, whose results
+must match exactly; ``--no-batch`` skips the batch re-runs), a feas-smoke
 step (the FC frontier grid evaluated scalar vs vectorized vs
 engine-incremental and digest-compared, :mod:`repro.core.feas_grid` /
 :mod:`repro.core.feas_engine`; ``--no-feas`` skips it), an obs-smoke step
@@ -240,11 +240,11 @@ def _run_invariants_smoke(batch: bool = True) -> list[str]:
     protocol/fault-interaction regression and fails CI.  Returns failure
     lines (empty = all invariants held).
 
-    With ``batch`` (the default) every scenario is re-run on the batch
-    engine and its statistics, completions and invariant report must match
-    the default engine's exactly — the faulted scenarios exercise the
-    structural fallback path, the clean monitored DDCR scenario the kernel
-    itself.
+    Every scenario runs on the reference DES.  With ``batch`` (the
+    default) it is re-run on the batch engine and its statistics,
+    completions and invariant report must match the DES's exactly — the
+    faulted scenarios exercise the structural fallback path, the clean
+    monitored DDCR scenario the kernel itself.
     """
     from repro.experiments.harness import (
         csma_cd_factory,
@@ -318,7 +318,7 @@ def _run_invariants_smoke(batch: bool = True) -> list[str]:
         ),
     ]
 
-    def execute(factory, plan, monitors, engine=None):
+    def execute(factory, plan, monitors, engine):
         simulation = NetworkSimulation.from_scenario(
             Scenario(
                 problem=problem,
@@ -351,7 +351,7 @@ def _run_invariants_smoke(batch: bool = True) -> list[str]:
     failures: list[str] = []
     batch_matches = 0
     for name, factory, plan, monitors in scenarios:
-        result = execute(factory, plan, monitors)
+        result = execute(factory, plan, monitors, engine="des")
         report = result.invariants
         assert report is not None  # every scenario arms monitors
         if report.ok:
@@ -366,7 +366,7 @@ def _run_invariants_smoke(batch: bool = True) -> list[str]:
             batch_result = execute(factory, plan, monitors, engine="batch")
             if digest(batch_result) != digest(result):
                 failures.append(
-                    f"{name}: batch engine diverged from the default engine"
+                    f"{name}: batch engine diverged from the DES"
                 )
                 print(
                     f"invariants-smoke: {name}: batch engine DIVERGED",
@@ -376,7 +376,7 @@ def _run_invariants_smoke(batch: bool = True) -> list[str]:
                 batch_matches += 1
     if batch and batch_matches == len(scenarios):
         print(
-            f"invariants-smoke: batch engine matched the default engine "
+            f"invariants-smoke: batch engine matched the DES "
             f"on {batch_matches}/{len(scenarios)} scenario(s)"
         )
     return failures
@@ -881,10 +881,13 @@ def _run_perf_trend(
     """Gate current bench results against the history median.
 
     Compares each bench's median ops/sec against the median of the last
-    ``window`` same-mode (smoke) history entries that measured it; a drop
-    of more than ``threshold`` percent is a regression.  The current run
-    is appended to the history *after* the comparison, so a regressed run
-    cannot vote itself into its own baseline.  Returns failure lines.
+    ``window`` same-mode (smoke) history entries that measured it on the
+    same engine; a drop of more than ``threshold`` percent is a
+    regression.  A bench with fewer than two such samples (new, or moved
+    to another engine) has no baseline yet and is skipped, not failed.
+    The current run is appended to the history *after* the comparison, so
+    a regressed run cannot vote itself into its own baseline.  Returns
+    failure lines.
     """
     from repro.tools.bench import append_history, history_entry, load_history
 
@@ -899,13 +902,18 @@ def _run_perf_trend(
             "gate skipped, current run recorded"
         )
     else:
+        unbased: list[str] = []
         for result in results:
             samples = [
-                entry["benches"][result.name]["ops_per_sec"]
-                for entry in smoke_entries
-                if result.name in entry.get("benches", {})
+                bench["ops_per_sec"]
+                for bench in (
+                    entry.get("benches", {}).get(result.name)
+                    for entry in smoke_entries
+                )
+                if bench is not None and bench.get("engine") == result.engine
             ]
             if len(samples) < 2:
+                unbased.append(result.name)
                 continue
             baseline = statistics.median(samples)
             current = result.median_ops_per_sec or result.ops_per_sec
@@ -919,10 +927,15 @@ def _run_perf_trend(
                     f"{baseline:,.0f} (limit {threshold:.0f}%, "
                     f"n={len(samples)})"
                 )
+        if unbased:
+            print(
+                f"perf-trend: no history yet for {len(unbased)} bench(es), "
+                f"skipped: {', '.join(unbased)}"
+            )
         verdict = "FAILED" if failures else "ok"
         print(
             f"perf-trend: {verdict} "
-            f"({len(results)} bench(es) vs median of "
+            f"({len(results) - len(unbased)} bench(es) vs median of "
             f"{len(smoke_entries)} run(s))"
         )
     append_history(history_path, history_entry(results, smoke=True))

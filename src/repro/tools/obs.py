@@ -115,10 +115,10 @@ def summarize_manifest(doc: RunTelemetry) -> str:
         f"  wall={doc.wall_seconds:.3f}s"
     ]
     if doc.engine_fallback is not None:
-        # Execution-provenance note: the run did not execute on the
-        # engine it asked for (batch kernel ineligible, numpy missing...)
-        # — worth its own loud line, since quietly slower runs are
-        # exactly what perf triage goes hunting for.
+        # Execution-provenance note: a batch request ran on the DES
+        # (structurally ineligible run) — worth its own loud line, since
+        # quietly slower runs are exactly what perf triage goes hunting
+        # for.
         lines.append(f"  engine fallback: {doc.engine_fallback}")
     if doc.counters:
         lines.append("  counters:")

@@ -33,7 +33,7 @@ from repro.net.phy import ideal_medium
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 from repro.protocols.tdma import TDMAProtocol
 
-ENGINES = ("des", "fastloop")
+ENGINES = ("des", "batch")
 _HORIZON = 250_000
 
 _GE = GilbertElliottNoise(p_enter_bad=0.002, p_exit_bad=0.05, bad_rate=0.5)
@@ -135,7 +135,7 @@ def test_overload_trips_deadline_monitor():
 
 
 def test_fault_free_run_with_monitors_is_clean():
-    result = _run("fastloop", None, monitors=True)
+    result = _run("auto", None, monitors=True)
     report = result.invariants
     assert report is not None and report.ok
     assert report.monitors == (
@@ -144,16 +144,16 @@ def test_fault_free_run_with_monitors_is_clean():
 
 
 def test_fault_free_run_without_monitors_has_no_report():
-    assert _run("fastloop", None).invariants is None
+    assert _run("auto", None).invariants is None
 
 
 def test_monitors_false_suppresses_even_when_faulted():
-    result = _run("fastloop", FaultPlan((_GE,)), monitors=False)
+    result = _run("auto", FaultPlan((_GE,)), monitors=False)
     assert result.invariants is None
 
 
 def test_crash_silences_station_until_restart():
-    result = _run("fastloop", FaultPlan((_CRASH,)))
+    result = _run("auto", FaultPlan((_CRASH,)))
     mine = [r for r in result.completions if r.message.source_id == 0]
     assert mine, "station 0 must deliver before the crash and after restart"
     down_window = [
@@ -195,15 +195,15 @@ def test_ambient_plan_scoping():
 
 def test_simulation_picks_up_ambient_plan():
     with use_fault_plan(FaultPlan((_GE,))):
-        result = _run("fastloop", None)
+        result = _run("auto", None)
     assert result.invariants is not None  # plan reached the channel
-    explicit = _run("fastloop", FaultPlan((_GE,)))
+    explicit = _run("auto", FaultPlan((_GE,)))
     assert pickle.dumps(result.invariants) == pickle.dumps(explicit.invariants)
 
 
 def test_explicit_empty_plan_overrides_ambient():
     with use_fault_plan(FaultPlan((_GE,))):
-        result = _run("fastloop", FaultPlan())
+        result = _run("auto", FaultPlan())
     assert result.invariants is None  # forced fault-free
 
 
@@ -230,7 +230,7 @@ class TestRunSpecIntegration:
 
         plan = FaultPlan((_CRASH,))
         des = RunSpec.make("PROTO", faults=plan, engine="des")
-        fast = RunSpec.make("PROTO", faults=plan, engine="fastloop")
+        fast = RunSpec.make("PROTO", faults=plan, engine="batch")
         assert des.spec_hash() == fast.spec_hash()
 
     def test_plan_forms_are_equivalent(self):

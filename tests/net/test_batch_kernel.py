@@ -1,38 +1,45 @@
-"""The batch-slot kernel's own contract: eligibility, backends, leap.
+"""The batch-slot kernel's own contract: eligibility, fallback, leap.
 
-The three-way byte-identity oracle lives in
+The des-vs-batch byte-identity oracle lives in
 ``test_engine_differential.py``; this file covers what is specific to
 :mod:`repro.net.batch` — the structural eligibility matrix and its
-recorded reasons, the numpy-absent degradation to the pure-Python
-backend, backend parity, the mid-run DES rejoin out of the kernel
-itself, and the idle-leap fast path (which the differential suite never
-exercises, because its runs keep tracing on).
+recorded reasons, ``auto`` resolution and the DES fallback, running
+without numpy, the mid-run DES rejoin out of the kernel itself, and the
+idle-leap fast path (which the differential suite never exercises,
+because its runs keep tracing on) including its bulk monitor hook.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import pathlib
 import pickle
+import subprocess
 import sys
 
 import pytest
 
-import repro.net.batch as batch_module
+from repro.faults.models import FaultPlan, StationCrash
 from repro.model.arrival import GreedyBurstArrivals
 from repro.model.workloads import uniform_problem
 from repro.net.batch import BatchKernel, batch_unavailable_reason
 from repro.net.channel import BroadcastChannel
-from repro.net.engine import batch_capability
 from repro.net.network import NetworkSimulation
 from repro.net.phy import ATM_BUS, ideal_medium
 from repro.net.station import Station
 from repro.protocols.csma_cd import CSMACDProtocol
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 from repro.sim.engine import Environment
-from repro.sim.invariants import InvariantMonitor, MonitorSuite
+from repro.sim.invariants import (
+    InvariantMonitor,
+    MonitorSuite,
+    standard_suite,
+)
 from repro.sim.trace import TraceLog
 
 _HORIZON = 250_000
+_SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
 
 
 def _problem(z=5):
@@ -177,85 +184,121 @@ def test_consistency_checks_are_ineligible():
 
 
 def test_run_batch_falls_back_and_reports_why():
-    """Ineligible runs execute on the fast loop, byte-identically."""
-    fast = _build_channel(
+    """Ineligible runs execute on the DES, byte-identically."""
+    reference = _build_channel(
         trace=True,
         mac_factory=lambda source: CSMACDProtocol(seed=source.source_id),
     )
-    fast.run(_HORIZON, engine="fastloop")
-    batched = _build_channel(
+    assert reference.run(_HORIZON, engine="des") is None
+    assert reference.engine_ran == "des"
+    for engine in ("batch", "auto"):
+        fallen = _build_channel(
+            trace=True,
+            mac_factory=lambda source: CSMACDProtocol(seed=source.source_id),
+        )
+        note = fallen.run(_HORIZON, engine=engine)
+        assert note.startswith("batch engine unavailable (station MACs")
+        assert note.endswith(": ran des")
+        assert fallen.engine_ran == "des"
+        assert _digest(fallen) == _digest(reference)
+
+
+# -- auto resolution and the pure-Python kernel ------------------------------
+
+
+def _simulation(engine, faults=None):
+    from repro.net.scenario import Scenario
+    from repro.obs.instruments import Telemetry
+
+    problem = _problem()
+    config = _config(problem)
+    return NetworkSimulation.from_scenario(Scenario(
+        problem=problem,
+        medium=ideal_medium(slot_time=64),
+        protocol_factory=lambda source: DDCRProtocol(config),
         trace=True,
-        mac_factory=lambda source: CSMACDProtocol(seed=source.source_id),
+        root_seed=3,
+        engine=engine,
+        faults=faults,
+        telemetry=Telemetry(),
+    ))
+
+
+def test_auto_resolves_to_batch_or_des():
+    """``auto`` runs the kernel on an eligible run (no note) and the DES,
+    with the reason, on a faulted one; the manifest names the tier that
+    executed."""
+    clean = _simulation("auto").run(_HORIZON).telemetry
+    assert (clean.engine, clean.engine_fallback) == ("batch", None)
+    plan = FaultPlan((StationCrash(station_id=0, at=40_000),))
+    faulted = _simulation("auto", faults=plan).run(_HORIZON).telemetry
+    assert faulted.engine == "des"
+    assert faulted.engine_fallback == (
+        "batch engine unavailable (fault injector armed): ran des"
     )
-    note = batched.run(_HORIZON, engine="batch")
-    assert "batch engine unavailable" in note
-    assert "not plain DDCRProtocol" in note
-    assert _digest(batched) == _digest(fast)
-
-
-# -- backend selection and parity --------------------------------------------
 
 
 def test_pure_python_backend_is_byte_identical():
+    """The kernel's list columns reproduce the DES exactly, and an
+    eligible batch run reports no fallback note."""
     reference = _build_channel(trace=True)
-    reference.run(_HORIZON, engine="fastloop")
-    forced = _build_channel(trace=True)
-    kernel = BatchKernel(forced, force_python=True)
-    assert kernel.backend_note == "pure-python backend (forced)"
-    assert not kernel.backend.vectorized
-    kernel.run(_HORIZON)
-    assert forced.env.now == _HORIZON
-    assert _digest(forced) == _digest(reference)
+    reference.run(_HORIZON, engine="des")
+    batched = _build_channel(trace=True)
+    assert batched.run(_HORIZON, engine="batch") is None
+    assert batched.engine_ran == "batch"
+    assert batched.env.now == _HORIZON
+    assert _digest(batched) == _digest(reference)
 
 
-def test_numpy_absent_degrades_not_fails(monkeypatch):
-    """With numpy unimportable, the batch engine still runs — on the
-    pure-Python backend, byte-identically — and the run manifest records
-    why the vectorized backend was unavailable."""
-    from repro.obs.instruments import Telemetry
-
-    real_numpy = pytest.importorskip("numpy")
-
-    def run(engine, break_numpy):
-        if break_numpy:
-            monkeypatch.setitem(sys.modules, "numpy", None)
-        else:
-            monkeypatch.setitem(sys.modules, "numpy", real_numpy)
-        monkeypatch.setattr(batch_module, "_NUMPY_STATE", None)
-        problem = _problem()
-        config = _config(problem)
-        simulation = NetworkSimulation(
-            problem,
-            ideal_medium(slot_time=64),
-            protocol_factory=lambda source: DDCRProtocol(config),
-            trace=True,
-            root_seed=3,
-            engine=engine,
-            telemetry=Telemetry(),
-        )
-        result = simulation.run(_HORIZON)
-        return result, result.telemetry
-
-    broken, broken_manifest = run("batch", break_numpy=True)
-    assert "numpy unavailable" in broken_manifest.engine_fallback
-    assert batch_capability() is not None  # the cached probe agrees
-    reference, reference_manifest = run("fastloop", break_numpy=True)
-    vectorized, vectorized_manifest = run("batch", break_numpy=False)
-    assert vectorized_manifest.engine_fallback is None
-
-    def digest(result):
-        return pickle.dumps(
-            (result.stats, result.completions, list(result.trace.records()))
-        )
-
-    assert digest(broken) == digest(reference) == digest(vectorized)
-    assert (
-        broken_manifest.content_json()
-        == reference_manifest.content_json()
-        == vectorized_manifest.content_json()
+def test_numpy_absent_degrades_not_fails(tmp_path):
+    """With numpy unimportable the default engine still runs the batch
+    kernel — it never needed numpy — and the simulation path does not
+    import numpy when it is available either."""
+    script = tmp_path / "probe.py"
+    script.write_text(
+        "import sys\n"
+        "block = sys.argv[1] == 'block'\n"
+        "if block:\n"
+        "    sys.modules['numpy'] = None\n"
+        "from repro.model.workloads import uniform_problem\n"
+        "from repro.net.network import NetworkSimulation\n"
+        "from repro.net.phy import ideal_medium\n"
+        "from repro.net.scenario import Scenario\n"
+        "from repro.obs.instruments import Telemetry\n"
+        "from repro.protocols.ddcr import DDCRConfig, DDCRProtocol\n"
+        "problem = uniform_problem(z=5, length=1_000, deadline=400_000,\n"
+        "                          a=1, w=200_000)\n"
+        "config = DDCRConfig(time_f=16, time_m=2, class_width=65_536,\n"
+        "                    static_q=problem.static_q,\n"
+        "                    static_m=problem.static_m)\n"
+        "result = NetworkSimulation.from_scenario(Scenario(\n"
+        "    problem=problem, medium=ideal_medium(slot_time=64),\n"
+        "    protocol_factory=lambda source: DDCRProtocol(config),\n"
+        "    telemetry=Telemetry())).run(250_000)\n"
+        "manifest = result.telemetry\n"
+        "print(manifest.engine, manifest.engine_fallback,\n"
+        "      len(result.completions), 'numpy' in sys.modules and\n"
+        "      sys.modules['numpy'] is not None)\n"
     )
-    monkeypatch.setattr(batch_module, "_NUMPY_STATE", None)
-    assert batch_capability() is None  # numpy restored, probe re-runs
+    env = {
+        key: value for key, value in os.environ.items()
+        if key != "REPRO_ENGINE"
+    }
+    env.update(PYTHONPATH=_SRC, REPRO_XI_CACHE="off")
+    outputs = {}
+    for mode in ("block", "allow"):
+        done = subprocess.run(
+            [sys.executable, str(script), mode],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        outputs[mode] = done.stdout.split()
+    engine, note, completions, imported = outputs["block"]
+    assert (engine, note, imported) == ("batch", "None", "False")
+    assert int(completions) > 0
+    assert outputs["allow"] == outputs["block"]
 
 
 # -- mid-run DES rejoin out of the kernel ------------------------------------
@@ -299,9 +342,8 @@ def _run_with_monitor_process(engine):
     channel.monitors = MonitorSuite(
         [_ProcessRegisteringMonitor(env, ticks)]
     )
-    note = channel.run(_HORIZON, engine=engine)
-    if engine == "batch":
-        assert note == batch_capability()  # eligible: the kernel itself ran
+    assert channel.run(_HORIZON, engine=engine) is None
+    assert channel.engine_ran == engine  # eligible: the kernel itself ran
     assert env.now == _HORIZON
     return ticks, _digest(channel)
 
@@ -311,11 +353,11 @@ def test_kernel_rejoins_des_mid_run():
     write its state back and rejoin the DES — interleaved identically."""
     runs = {
         engine: _run_with_monitor_process(engine)
-        for engine in ("des", "fastloop", "batch")
+        for engine in ("des", "batch")
     }
     ticks = {engine: run[0] for engine, run in runs.items()}
     assert len(ticks["batch"]) == 5  # the ticker really ran to completion
-    assert ticks["des"] == ticks["fastloop"] == ticks["batch"]
+    assert ticks["des"] == ticks["batch"]
     digests = {run[1] for run in runs.values()}
     assert len(digests) == 1
 
@@ -360,34 +402,136 @@ def test_idle_leap_is_byte_identical(case):
             load=case.get("load", True),
             problem=problem,
         )
-        for engine in ("des", "fastloop", "batch")
+        for engine in ("des", "batch")
     }
     assert len(runs) == 1
 
 
-def test_idle_leap_actually_engages(monkeypatch):
-    """The leap-identity tests are only meaningful if leaps happen: count
-    them on the bursty workload and require multi-slot advances."""
+def _leap_spy(monkeypatch):
+    """Record every leap as (the channel's telemetry prefix, slots)."""
     leaps = []
     original = BatchKernel._try_leap
 
     def spy(self, now, horizon):
         n = original(self, now, horizon)
         if n:
-            leaps.append(n)
+            leaps.append((self.channel.telemetry_prefix, n))
         return n
 
     monkeypatch.setattr(BatchKernel, "_try_leap", spy)
+    return leaps
+
+
+def test_idle_leap_actually_engages(monkeypatch):
+    """The leap-identity tests are only meaningful if leaps happen: count
+    them on the bursty workload and require multi-slot advances."""
+    leaps = _leap_spy(monkeypatch)
     _run_untraced("batch")
-    assert leaps and max(leaps) > 1
+    assert max((n for _, n in leaps), default=0) > 1
 
 
 def test_leap_disabled_under_trace_and_monitors():
-    """Tracing (or monitors) force per-slot execution: no leap, and the
-    traced run still matches the DES slot for slot (covered by the
-    differential suite; here we just pin the gate)."""
-    channel = _build_channel(trace=True)
-    kernel = BatchKernel(channel)
-    assert not kernel._leap_ok
-    untraced = _build_channel(trace=False)
-    assert BatchKernel(untraced)._leap_ok
+    """Tracing, the flight recorder and any monitor that can only digest
+    slots one by one force per-slot execution; monitors with a bulk
+    ``on_idle`` hook (every built-in one) keep the leap."""
+    from repro.obs.tracer import FlightRecorder
+
+    assert not BatchKernel(_build_channel(trace=True))._leap_ok
+    assert BatchKernel(_build_channel(trace=False))._leap_ok
+    recorded = _build_channel(trace=False)
+    recorded.tracer = FlightRecorder()
+    assert not BatchKernel(recorded)._leap_ok
+    per_slot = _build_channel(trace=False)
+    per_slot.monitors = MonitorSuite(
+        [_ProcessRegisteringMonitor(per_slot.env, [])]
+    )
+    assert not per_slot.monitors.idle_ok
+    assert not BatchKernel(per_slot)._leap_ok
+    monitored = _build_channel(trace=False)
+    monitored.monitors = standard_suite(monitored.stations)
+    assert monitored.monitors.idle_ok
+    assert BatchKernel(monitored)._leap_ok
+
+
+def test_monitored_leap_is_byte_identical(monkeypatch):
+    """Armed standard monitors no longer disable the leap, and their
+    reports, slot counts and the run itself stay byte-identical to the
+    DES, which digests every idle slot one by one."""
+    leaps = _leap_spy(monkeypatch)
+
+    def run(engine):
+        channel = _build_channel(trace=False)
+        channel.monitors = standard_suite(channel.stations)
+        channel.run(_HORIZON, engine=engine)
+        report = channel.monitors.finalize(_HORIZON, channel.stations)
+        assert report.ok, report.summary()
+        return _digest(channel), pickle.dumps(report)
+
+    reference = run("des")
+    assert not leaps
+    assert run("batch") == reference
+    assert max((n for _, n in leaps), default=0) > 1
+
+
+def test_fabric_downstream_segment_leaps(monkeypatch):
+    """A fabric downstream segment arms ``bridge_conservation``; the
+    monitor's bulk idle hook lets that segment leap, and the fabric's
+    results, invariant reports and telemetry stay identical to the DES."""
+    from repro.experiments.harness import build_chain_topology
+    from repro.net.fabric import Fabric
+    from repro.obs.instruments import Telemetry
+
+    leaps = _leap_spy(monkeypatch)
+
+    def run(engine):
+        topology, _ = build_chain_topology(
+            segments=2, z=4, medium=ideal_medium(slot_time=64),
+            deadline=2_000_000, a=1, w=400_000, root_seed=5,
+            engine=engine, monitors=True, telemetry=Telemetry(),
+        )
+        result = Fabric(topology).run(1_500_000)
+        downstream = topology.segments[1].name
+        report = result.segments[downstream].invariants
+        assert "bridge_conservation" in report.monitors
+        assert report.ok, report.summary()
+        return downstream, pickle.dumps((
+            {name: (seg.stats, seg.completions, seg.invariants)
+             for name, seg in result.segments.items()},
+            result.bridges,
+            result.journeys,
+            result.telemetry.content_json(),
+        ))
+
+    downstream, reference = run("des")
+    assert not leaps
+    assert run("batch") == (downstream, reference)
+    assert max(n for prefix, n in leaps if prefix == f"{downstream}/") > 1
+
+
+def test_bridge_monitor_idle_stretch_matches_des(monkeypatch):
+    """Bridge entries that fall inside an idle stretch (a schedule the
+    station's arrivals do not mirror) make ``on_idle`` replay slot by
+    slot: the capacity-0 occupancy violations land on the same slots as
+    under the DES."""
+    from repro.sim.invariants import BridgeConservationMonitor
+
+    leaps = _leap_spy(monkeypatch)
+
+    def run(engine):
+        channel = _build_channel(trace=False)
+        channel.monitors = MonitorSuite([
+            BridgeConservationMonitor(
+                bridge="ghost->here",
+                station_id=0,
+                schedule={"uniform-0": (100_003, 150_777, 230_001)},
+                capacity=0,
+            )
+        ])
+        channel.run(_HORIZON, engine=engine)
+        report = channel.monitors.finalize(_HORIZON, channel.stations)
+        assert report.by_invariant("bridge_conservation")
+        return _digest(channel), pickle.dumps(report)
+
+    reference = run("des")
+    assert run("batch") == reference
+    assert max((n for _, n in leaps), default=0) > 1

@@ -1,8 +1,8 @@
-"""Differential tests: all three engines are byte-identical.
+"""Differential tests: the batch engine is byte-identical to the DES.
 
-The slot-loop fast path (:meth:`BroadcastChannel.run_fast`) and the
-struct-of-arrays batch kernel (:meth:`BroadcastChannel.run_batch`) must
-be indistinguishable from the general DES by results: same
+The struct-of-arrays batch kernel (``run(horizon, engine="batch")``, and
+``auto`` which resolves to it on eligible runs) must be
+indistinguishable from the general DES by results: same
 :class:`ChannelStats`, same completion records, same trace stream, same
 final clock — across protocols, noise, jamming, bursting, and the
 automatic fallback paths (foreign processes at entry and mid-run,
@@ -34,14 +34,13 @@ from repro.net.engine import resolve_engine, use_engine
 from repro.net.network import NetworkSimulation
 from repro.net.phy import ideal_medium
 from repro.net.station import Station
-from repro.protocols.base import MACProtocol
 from repro.protocols.csma_cd import CSMACDProtocol
 from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 from repro.protocols.tdma import TDMAProtocol
 from repro.sim.engine import Environment
 from repro.sim.trace import TraceLog
 
-ENGINES = ("des", "fastloop", "batch")
+ENGINES = ("des", "auto", "batch")
 _HORIZON = 250_000
 
 
@@ -149,7 +148,7 @@ def _run_manual_channel(engine, jam_from=None, noise=0.0):
         channel.attach(station)
         stations.append(station)
     channel.jam_from = jam_from
-    # The unified entry point owns the dispatch for all three engines.
+    # The unified entry point owns the dispatch for every engine.
     channel.run(_HORIZON, engine=engine)
     assert env.now == _HORIZON
     completions = [
@@ -168,54 +167,9 @@ def test_engines_identical_under_mid_run_jamming(noise):
     assert len(set(runs)) == 1
 
 
-class _ForeignRegistrar(MACProtocol):
-    """Wrapper MAC that registers a foreign DES process mid-run.
-
-    Forces the fast loop onto its mid-run rejoin path: after
-    ``trigger_after`` observed slots, it schedules an unrelated ticker
-    process on the environment, exactly as a host extension would.
-    """
-
-    def __init__(self, inner, env, ticks, trigger_after=40):
-        super().__init__()
-        self.inner = inner
-        self._env = env
-        self._ticks = ticks
-        self._remaining = trigger_after
-
-    def attach(self, station):
-        super().attach(station)
-        self.inner.attach(station)
-
-    def offer(self, now):
-        return self.inner.offer(now)
-
-    def suppress_offer(self):
-        self.inner.suppress_offer()
-
-    def observe(self, observation):
-        self.inner.observe(observation)
-        if self._remaining > 0:
-            self._remaining -= 1
-            if self._remaining == 0:
-                self._env.process(self._ticker())
-
-    def _ticker(self):
-        for _ in range(5):
-            yield self._env.timeout(10_000)
-            self._ticks.append(self._env.now)
-
-    def wants_burst_continuation(self, now):
-        return self.inner.wants_burst_continuation(now)
-
-    def contention_tag(self, now):
-        return self.inner.contention_tag(now)
-
-    def public_state(self):
-        return self.inner.public_state()
-
-
 def _run_with_foreign_process(engine):
+    """An eligible DDCR channel whose trace subscriber registers a foreign
+    DES process after 40 slots — as a host extension would."""
     problem = uniform_problem(
         z=4, length=1_000, deadline=400_000, a=1, w=200_000
     )
@@ -228,13 +182,10 @@ def _run_with_foreign_process(engine):
     seq_source = itertools.count()
     ticks: list[float] = []
     stations = []
-    for position, source in enumerate(problem.sources):
-        mac = DDCRProtocol(config)
-        if position == 0:
-            mac = _ForeignRegistrar(mac, env, ticks)
+    for source in problem.sources:
         station = Station(
             station_id=source.source_id,
-            mac=mac,
+            mac=DDCRProtocol(config),
             static_indices=source.static_indices,
             seq_source=seq_source,
         )
@@ -244,25 +195,40 @@ def _run_with_foreign_process(engine):
             )
         channel.attach(station)
         stations.append(station)
-    # Station 0's MAC is a wrapper type, so under ``batch`` the kernel
-    # structurally falls back (through the fast loop, into the mid-run
-    # DES rejoin); the unified entry point hides all of that.
-    channel.run(_HORIZON, engine=engine)
+
+    def ticker():
+        for _ in range(5):
+            yield env.timeout(10_000)
+            ticks.append(env.now)
+
+    slots = []
+
+    def on_record(record):
+        slots.append(record)
+        if len(slots) == 40:
+            env.process(ticker())
+
+    trace.subscribe(on_record)
+    note = channel.run(_HORIZON, engine=engine)
+    assert note is None  # eligible: the kernel itself started the run
     assert env.now == _HORIZON
     completions = [
         record for station in stations for record in station.completions
     ]
-    return ticks, _snapshot(channel.stats, completions, trace)
+    return ticks, channel.engine_ran, _snapshot(
+        channel.stats, completions, trace
+    )
 
 
 def test_fast_loop_rejoins_des_mid_run():
-    """A foreign process appearing mid-run is interleaved identically."""
-    des_ticks, des_run = _run_with_foreign_process("des")
-    fast_ticks, fast_run = _run_with_foreign_process("fastloop")
-    batch_ticks, batch_run = _run_with_foreign_process("batch")
-    assert len(des_ticks) == len(fast_ticks) == 5  # ticker actually ran
-    assert des_ticks == fast_ticks == batch_ticks
-    assert des_run == fast_run == batch_run
+    """A foreign process appearing mid-run makes the batch kernel's loop
+    rejoin the DES after the current slot — interleaved identically."""
+    des_ticks, des_tier, des_run = _run_with_foreign_process("des")
+    batch_ticks, batch_tier, batch_run = _run_with_foreign_process("batch")
+    assert (des_tier, batch_tier) == ("des", "batch")
+    assert len(des_ticks) == 5  # ticker actually ran
+    assert des_ticks == batch_ticks
+    assert des_run == batch_run
 
 
 def _run_dualbus(engine):
@@ -291,9 +257,9 @@ def _run_dualbus(engine):
 
 
 def test_dualbus_engine_fallback_is_identical():
-    """Two channels on one clock: fastloop and batch must fall back to
-    the DES and still produce byte-identical results (failover included)."""
-    assert _run_dualbus("des") == _run_dualbus("fastloop") == _run_dualbus("batch")
+    """Two channels on one clock: auto and batch must fall back to the
+    DES and still produce byte-identical results (failover included)."""
+    assert _run_dualbus("des") == _run_dualbus("auto") == _run_dualbus("batch")
 
 
 def test_seed_randomized_engine_equivalence():
@@ -334,7 +300,7 @@ def test_empty_fault_plan_is_byte_identical_to_fault_free(
     protocol, noise, seed
 ):
     """An empty FaultPlan must be indistinguishable from no plan at all —
-    same RNG draw order, same results — under both engines.  (This is the
+    same RNG draw order, same results — under every engine.  (This is the
     premise that lets RunSpec normalise empty plans to fault-free hashes.)"""
     for engine in ENGINES:
         plain = _run_network(
@@ -405,38 +371,46 @@ def test_telemetry_identical_across_engines(protocol):
     (Wall-clock span durations and the engine label are excluded by
     :meth:`RunTelemetry.content_json`; they describe how the run was
     driven, not what it computed.)"""
-    des, fast, batch = (
+    des, auto, batch = (
         _run_telemetry(engine, protocol, noise=0.01) for engine in ENGINES
     )
-    assert des.content_json() == fast.content_json() == batch.content_json()
-    assert des.engine == "des" and fast.engine == "fastloop"
-    assert batch.engine == "batch"
+    assert des.content_json() == auto.content_json() == batch.content_json()
+    # The manifest records the tier that executed, not the request.
+    assert des.engine == "des" and des.engine_fallback is None
     if protocol == "ddcr":
-        # Eligible run: the kernel itself executed (the note is only
-        # non-None when numpy is missing and the pure-Python twin ran).
-        from repro.net.engine import batch_capability
-
-        assert batch.engine_fallback == batch_capability()
+        # Eligible run: the kernel itself executed, with no note.
+        assert auto.engine == batch.engine == "batch"
+        assert auto.engine_fallback is None and batch.engine_fallback is None
     else:
-        # Foreign MAC types: structural fallback, reason recorded.
-        assert "batch engine unavailable" in batch.engine_fallback
+        # Foreign MAC types: structural fallback to the DES, reason
+        # recorded.
+        assert auto.engine == batch.engine == "des"
+        for manifest in (auto, batch):
+            assert manifest.engine_fallback.startswith(
+                "batch engine unavailable (station MACs are not plain"
+            )
+            assert manifest.engine_fallback.endswith(": ran des")
 
 
 def test_telemetry_identical_across_engines_under_faults():
     """Fault-gate fire counters and faulted slot outcomes agree too."""
     plan = _FAULT_POOL[4]  # burst noise + crash/restart
-    des, fast, batch = (
+    des, auto, batch = (
         _run_telemetry(engine, "ddcr", seed=7, faults=plan)
         for engine in ENGINES
     )
-    assert des.content_json() == fast.content_json() == batch.content_json()
+    assert des.content_json() == auto.content_json() == batch.content_json()
     assert des.counters["faults/crash"] == 1
     assert des.counters["faults/restart"] == 1
     assert des.fault_plan is not None
     # An armed injector is structurally ineligible for the batch kernel:
-    # the run fell back and the manifest says why.
-    assert "fault injector armed" in batch.engine_fallback
-    assert des.engine_fallback is None and fast.engine_fallback is None
+    # ``auto`` and ``batch`` ran on the DES and the manifest says why.
+    for manifest in (auto, batch):
+        assert manifest.engine == "des"
+        assert manifest.engine_fallback == (
+            "batch engine unavailable (fault injector armed): ran des"
+        )
+    assert des.engine_fallback is None
 
 
 def test_dualbus_telemetry_identical_across_engines():
@@ -461,14 +435,16 @@ def test_dualbus_telemetry_identical_across_engines():
         assert manifest is not None
         return manifest
 
-    des, fast, batch = (run(engine) for engine in ENGINES)
-    assert des.content_json() == fast.content_json() == batch.content_json()
+    des, auto, batch = (run(engine) for engine in ENGINES)
+    assert des.content_json() == auto.content_json() == batch.content_json()
     assert des.counters["bus0/slots/success"] > 0
     assert des.counters["bus1/slots/success"] > 0
     assert des.gauges["failovers"] >= 1
     # Dual-bus shares one clock between two channels, so batch falls
     # back at entry (bus A's process is pending) and the manifest says so.
-    assert "batch engine unavailable" in batch.engine_fallback
+    assert des.engine == auto.engine == batch.engine == "des"
+    assert "foreign processes pending" in batch.engine_fallback
+    assert auto.engine_fallback == batch.engine_fallback
 
 
 def test_engine_resolution_and_scoping():
@@ -476,6 +452,8 @@ def test_engine_resolution_and_scoping():
     assert resolve_engine("des") == "des"
     with pytest.raises(ValueError, match="unknown engine"):
         resolve_engine("warp")
+    with pytest.raises(ValueError, match="unknown engine"):
+        resolve_engine("fastloop")  # the deleted third tier
     with pytest.raises(ValueError, match="unknown engine"):
         NetworkSimulation(
             uniform_problem(z=2),

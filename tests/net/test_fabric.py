@@ -34,7 +34,7 @@ from repro.protocols.ddcr import DDCRConfig, DDCRProtocol
 from repro.sim.invariants import BridgeConservationMonitor
 
 _MS = 1_000_000
-ENGINES = ("des", "fastloop", "batch")
+ENGINES = ("des", "auto", "batch")
 _HORIZON = 250_000
 
 
@@ -293,7 +293,9 @@ class TestTopologyValidation:
 class TestSingleSegmentByteIdentity:
     """The 1-segment fabric IS the bare simulation, engine by engine."""
 
-    def _scenario(self, engine, telemetry=None):
+    def _scenario(self, engine, telemetry=None, quiet=False):
+        """``quiet`` drops tracing and noise, so the batch kernel leaps
+        over idle stretches with the monitors armed."""
         problem = uniform_problem(
             z=5, length=1_000, deadline=400_000, a=1, w=200_000
         )
@@ -301,8 +303,8 @@ class TestSingleSegmentByteIdentity:
             problem=problem,
             medium=ideal_medium(slot_time=64),
             protocol_factory=_ddcr_factory(problem),
-            trace=True,
-            noise_rate=0.01,
+            trace=not quiet,
+            noise_rate=0.0 if quiet else 0.01,
             noise_seed=3,
             root_seed=3,
             engine=engine,
@@ -346,6 +348,29 @@ class TestSingleSegmentByteIdentity:
         assert not any(
             name.startswith("fabric/") for name in fabric.telemetry.counters
         )
+
+    @pytest.mark.parametrize("quiet", [False, True], ids=["traced", "quiet"])
+    def test_engines_match_des(self, quiet):
+        """Stats, completions, invariant reports and telemetry content of
+        the monitored 1-segment fabric are the DES's under every engine —
+        also on the quiet run, where batch leaps with monitors armed."""
+
+        def run(engine):
+            result = Fabric.from_scenario(
+                self._scenario(engine, telemetry=Telemetry(), quiet=quiet)
+            ).run(_HORIZON)
+            (segment,) = result.segments.values()
+            assert segment.invariants.ok, segment.invariants.summary()
+            return pickle.dumps((
+                segment.stats,
+                segment.completions,
+                segment.invariants,
+                result.telemetry.content_json(),
+            ))
+
+        reference = run("des")
+        for engine in ENGINES:
+            assert run(engine) == reference, engine
 
     def test_from_topology_entry_point(self):
         scenario = self._scenario("des")
@@ -532,39 +557,3 @@ class TestDeprecations:
             NetworkSimulation(
                 problem, ideal_medium(slot_time=64), _ddcr_factory(problem)
             )
-
-    def test_run_fast_and_run_batch_warn(self):
-        import itertools
-
-        from repro.model.arrival import GreedyBurstArrivals
-        from repro.net.channel import BroadcastChannel
-        from repro.net.station import Station
-        from repro.sim.engine import Environment
-
-        def build():
-            problem = uniform_problem(
-                z=2, length=1_000, deadline=400_000, a=1, w=200_000
-            )
-            env = Environment()
-            channel = BroadcastChannel(env, ideal_medium(slot_time=64))
-            seq = itertools.count()
-            for source in problem.sources:
-                station = Station(
-                    station_id=source.source_id,
-                    mac=_ddcr_factory(problem)(source),
-                    static_indices=source.static_indices,
-                    seq_source=seq,
-                )
-                for msg_class in source.message_classes:
-                    station.load_arrivals(
-                        msg_class,
-                        GreedyBurstArrivals(bound=msg_class.bound),
-                        10_000,
-                    )
-                channel.attach(station)
-            return channel
-
-        with pytest.warns(DeprecationWarning, match="engine="):
-            build().run_fast(10_000)
-        with pytest.warns(DeprecationWarning, match="engine="):
-            build().run_batch(10_000)

@@ -17,12 +17,12 @@ from repro.runtime import ParallelExecutor, ResultCache, RunSpec
 
 def test_engine_excluded_from_spec_identity():
     des = RunSpec.make("FIG2", t=16, engine="des")
-    fast = RunSpec.make("FIG2", t=16, engine="fastloop")
+    fast = RunSpec.make("FIG2", t=16, engine="batch")
     default = RunSpec.make("FIG2", t=16)
     assert des.canonical_key() == fast.canonical_key() == default.canonical_key()
     assert des.spec_hash() == fast.spec_hash() == default.spec_hash()
     assert des == fast == default
-    assert des.engine == "des" and fast.engine == "fastloop"
+    assert des.engine == "des" and fast.engine == "batch"
 
 
 def test_engine_validated_eagerly():
@@ -37,7 +37,7 @@ def test_warm_cache_hits_regardless_of_engine(tmp_path):
     assert cold.submissions == 1
 
     warm = ParallelExecutor(jobs=1, cache=ResultCache(tmp_path))
-    warm_records = warm.run([RunSpec.make("FIG2", t=16, engine="fastloop")])
+    warm_records = warm.run([RunSpec.make("FIG2", t=16, engine="batch")])
     assert warm.submissions == 0
     assert warm_records[0].cached
     assert pickle.dumps(warm_records[0].result) == pickle.dumps(
@@ -50,5 +50,5 @@ def test_run_spec_results_identical_across_engines():
     from repro.experiments.registry import run_spec
 
     des = run_spec(RunSpec.make("FIG2", t=16, engine="des"))
-    fast = run_spec(RunSpec.make("FIG2", t=16, engine="fastloop"))
+    fast = run_spec(RunSpec.make("FIG2", t=16, engine="batch"))
     assert pickle.dumps(des) == pickle.dumps(fast)

@@ -13,10 +13,12 @@ def test_list_names(capsys):
     assert bench.main(["--list"]) == 0
     out = capsys.readouterr().out
     assert "xi_dp_table" in out
-    assert "channel_slot_rate_16_fastloop" in out
+    assert "channel_slot_rate_16_des" in out
+    assert "channel_slot_rate_16_batch" in out
+    assert "fastloop" not in out
     assert "telemetry_overhead" in out
     assert "tracer_overhead" in out
-    assert "(engine: fastloop)" in out
+    assert "(engine: des)" in out
 
 
 def test_unknown_bench_rejected():
@@ -30,7 +32,7 @@ def test_smoke_run_writes_report(tmp_path, capsys):
         [
             "--smoke",
             "--only", "divide_conquer_table",
-            "--only", "channel_slot_rate_4_fastloop",
+            "--only", "channel_slot_rate_4_des",
             "--output", str(output),
         ]
     )
@@ -39,13 +41,13 @@ def test_smoke_run_writes_report(tmp_path, capsys):
     assert payload["schema"] == 1
     assert payload["smoke"] is True
     assert payload["git_rev"]
-    assert payload["default_engine"] in ("auto", "des", "fastloop")
+    assert payload["default_engine"] in ("auto", "des", "batch")
     by_name = {entry["name"]: entry for entry in payload["benches"]}
     assert set(by_name) == {
-        "divide_conquer_table", "channel_slot_rate_4_fastloop"
+        "divide_conquer_table", "channel_slot_rate_4_des"
     }
-    slot_rate = by_name["channel_slot_rate_4_fastloop"]
-    assert slot_rate["engine"] == "fastloop"
+    slot_rate = by_name["channel_slot_rate_4_des"]
+    assert slot_rate["engine"] == "des"
     assert slot_rate["unit"] == "rounds"
     assert slot_rate["ops_per_sec"] > 0
     assert slot_rate["repeats"] == 1
@@ -188,12 +190,12 @@ def test_feasibility_grid_bench_runs_in_smoke():
 
 def test_telemetry_overhead_within_budget():
     """Enabled telemetry must stay within a modest fraction of the plain
-    fastloop throughput (the ISSUE budget is <=10%; the assertion allows
-    3x that to keep CI machines' scheduling noise from flaking the
-    suite), and the disabled path IS the plain bench — NULL_TELEMETRY
-    short-circuits before any instrument work."""
+    DES throughput (the budget is <=10%; the assertion allows 3x that to
+    keep CI machines' scheduling noise from flaking the suite), and the
+    disabled path IS the plain bench — NULL_TELEMETRY short-circuits
+    before any instrument work."""
     plain, instrumented = bench.run_benches(
-        names=["channel_slot_rate_16_fastloop", "telemetry_overhead"],
+        names=["channel_slot_rate_16_des", "telemetry_overhead"],
         smoke=True,
         repeats=2,
     )
@@ -202,12 +204,12 @@ def test_telemetry_overhead_within_budget():
 
 def test_tracer_overhead_within_budget():
     """An armed flight recorder must stay within a modest fraction of the
-    plain fastloop throughput (the ISSUE budget is <=10%; the assertion
-    allows 3x that for CI scheduling noise).  The disabled path needs no
-    separate bench: the hoisted ``tracer_on`` gate makes it the plain
+    plain DES throughput (the budget is <=10%; the assertion allows 3x
+    that for CI scheduling noise).  The disabled path needs no separate
+    bench: the hoisted ``tracer_on`` gate makes it the plain
     ``channel_slot_rate`` bench itself."""
     plain, traced = bench.run_benches(
-        names=["channel_slot_rate_16_fastloop", "tracer_overhead"],
+        names=["channel_slot_rate_16_des", "tracer_overhead"],
         smoke=True,
         repeats=2,
     )

@@ -304,8 +304,8 @@ class TestPerfTrendGate:
         from repro.tools.bench import BenchResult
 
         return BenchResult(
-            name="channel_slot_rate_16_fastloop",
-            engine="fastloop",
+            name="channel_slot_rate_16_des",
+            engine="des",
             unit="rounds",
             ops=1000.0,
             seconds=1000.0 / ops,
@@ -373,7 +373,7 @@ class TestPerfTrendGate:
         entries = load_history(history)
         assert len(entries) == 4  # the bad run is recorded...
         # ...but the comparison above used only the three seeded entries
-        bench = entries[-1]["benches"]["channel_slot_rate_16_fastloop"]
+        bench = entries[-1]["benches"]["channel_slot_rate_16_des"]
         assert bench["ops_per_sec"] == 5_000
 
     def test_window_limits_the_baseline(self, tmp_path):
@@ -388,6 +388,27 @@ class TestPerfTrendGate:
         )
         assert failures == []
 
+    def test_bench_without_history_is_skipped(self, tmp_path, capsys):
+        """A bench new to the history — or moved to another engine, whose
+        old samples no longer compare — is skipped, not failed."""
+        import dataclasses
+
+        from repro.tools.check import _run_perf_trend
+
+        history = tmp_path / "hist.jsonl"
+        self._seed_history(history, ops=10_000)
+        moved = dataclasses.replace(self._result(1_000), engine="batch")
+        fresh = dataclasses.replace(self._result(1_000), name="brand_new")
+        failures = _run_perf_trend(
+            [moved, fresh, self._result(9_500)], history, window=5,
+            threshold=30.0,
+        )
+        assert failures == []
+        out = capsys.readouterr().out
+        assert "no history yet for 2 bench(es), skipped" in out
+        assert "brand_new" in out
+        assert "perf-trend: ok (1 bench(es) vs median of 3 run(s))" in out
+
     def test_non_smoke_entries_are_ignored(self, tmp_path, capsys):
         import json
 
@@ -398,7 +419,9 @@ class TestPerfTrendGate:
             entry = {
                 "smoke": False,
                 "benches": {
-                    "channel_slot_rate_16_fastloop": {"ops_per_sec": 99_999}
+                    "channel_slot_rate_16_des": {
+                        "ops_per_sec": 99_999, "engine": "des",
+                    }
                 },
             }
             for _ in range(3):
