@@ -5,10 +5,12 @@ The injector translates the pure-data models of
 consults: which stations are down, which drift-suppressed, which babble
 frames ride the wire this round, and which noise gates corrupt the slot.
 It is armed once per run (after stations attach, before the first round)
-and then driven by :meth:`begin_round` from inside the DES round loop.
-An armed injector makes a run ineligible for the batch kernel, so a
-faulted run executes on the DES whichever engine was requested, and its
-results are the same under ``des``, ``batch`` and ``auto``.
+and then driven by :meth:`begin_round` at the start of every executed
+round, by the DES round driver and the batch kernel alike.  Both engines
+run faulted plans with byte-identical results: the batch kernel keeps the
+stations the faults leave in lockstep in its columns and drives only a
+drift target or a restarted station through its own MAC, freezing a
+crashed one where the crash found it (:mod:`repro.net.batch`).
 
 All injector randomness (the Gilbert–Elliott chain) comes from the single
 ``rng`` handed in at construction; the simulation layer passes a dedicated
@@ -277,7 +279,14 @@ class FaultInjector:
             sid -= 1
         return sid
 
-    # -- per-round driving (called from _RoundDriver) --------------------
+    # -- per-round driving (called by both engines) ----------------------
+
+    @property
+    def next_event_time(self) -> float:
+        """When the next crash or restart fires (``math.inf`` once none is
+        left).  Until then :meth:`begin_round` changes neither
+        :attr:`down` nor any station's MAC."""
+        return self._next_event
 
     def begin_round(self, now: int) -> None:
         """Advance fault state to the round starting at ``now``."""

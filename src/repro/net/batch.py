@@ -26,22 +26,41 @@ monitors digest such a stretch in bulk through
 :meth:`~repro.sim.invariants.MonitorSuite.on_idle`, so they do not
 disable it.
 
+Fault plans run here too.  Noise, jamming and babbling are common-mode —
+every live station digests the same corrupted or foreign slot — so they
+keep the lockstep and need only the injector's gates and frames on the
+wire.  Only three kinds of station leave the cohort the columns describe:
+
+* a **drift target** (its suppressed offers make its nested-STs
+  membership private) is *solo* from entry: driven per slot through its
+  own ``offer``/``observe``, as on the DES, with no column entries;
+* a **crashed** station gets the replica state written into its MAC at
+  the crash — exactly the DES MAC frozen at that instant — and is then
+  skipped (empty column head, no arrivals, no write-back);
+* a **restarted** station runs the fresh MAC ``reset_mac`` installed and
+  stays solo for the rest of the run.
+
+The idle leap stays on for injector runs without noise gates, capped at
+the injector's next crash/restart and at the next babble window, and off
+while a babble window is active, a station is down or the solo set is
+non-empty (which covers drift: its target is solo throughout).  Every fault branch sits behind a ``self.faults``
+test, so a fault-free round pays a few ``None`` checks for them.
+
 Fallback contract: :func:`batch_unavailable_reason` reports *structural*
 ineligibility — foreign MAC types, differing configs, packet bursting,
-non-destructive media (contention tags), an armed fault injector,
-per-slot consistency checks, or foreign processes pending at entry — and
-:meth:`BroadcastChannel.run` then runs the whole run on the DES,
-returning the reason so the run manifest can record it.  If a foreign
-process appears *mid-run* (e.g. registered by a monitor), the kernel
-writes the shared state back into every station's MAC and rejoins the
-general DES after the current slot, exactly where the DES path would
-interleave it.
+non-destructive media (contention tags), per-slot consistency checks, or
+foreign processes pending at entry — and :meth:`BroadcastChannel.run`
+then runs the whole run on the DES, returning the reason so the run
+manifest can record it.  If a foreign process appears *mid-run* (e.g.
+registered by a monitor), the kernel writes the shared state back into
+every cohort station's MAC and rejoins the general DES after the current
+slot, exactly where the DES path would interleave it.
 
 Known limitation (structural, not silent): the kernel caches each
 station's next pending-arrival time, so injecting arrivals *mid-run* from
-outside the round loop is unsupported — the only in-tree source of that
-(fault-plan arrival bursts) is already excluded by the fault-injector
-fallback.
+outside the round loop is unsupported.  Fault-plan arrival bursts are
+scheduled when the injector is armed, before the kernel reads that cache,
+and a restart re-reads it for the restarted station.
 """
 
 from __future__ import annotations
@@ -78,6 +97,9 @@ _EMPTY = 1 << 62
 #: Sentinel for the next-arrival column when a station has none pending.
 _NEVER = 1 << 62
 
+#: The shadow replica's station id: equal to no frame's source id.
+_REPLICA_ID = object()
+
 
 # -- eligibility -------------------------------------------------------------
 
@@ -108,8 +130,6 @@ def batch_unavailable_reason(channel: "BroadcastChannel") -> str | None:
         return "packet bursting enabled (burst_limit > 0)"
     if not channel.medium.destructive_collisions:
         return "non-destructive medium (per-station contention tags)"
-    if channel.faults is not None:
-        return "fault injector armed"
     if channel.check_consistency:
         return "per-slot consistency checks requested"
     return None
@@ -292,6 +312,13 @@ class BatchKernel:
             from repro.faults.runtime import BernoulliGate
 
             gates.append(BernoulliGate(channel.noise_rate, channel._noise_rng))
+        #: The armed :class:`~repro.faults.runtime.FaultInjector`, or None.
+        #: Every fault branch of the round loop tests this one attribute.
+        self.faults = faults = channel.faults
+        if faults is not None:
+            # After the legacy gate, as in the round driver: the shared
+            # gate objects keep their state across a DES rejoin.
+            gates.extend(faults.noise_gates)
         self.noise_gates = tuple(gates)
         self.monitors = channel.monitors
         self.trace = channel.trace
@@ -323,13 +350,28 @@ class BatchKernel:
             [station.static_indices for station in self.stations]
         )
 
+        # Stations outside the lockstep cohort, by index: ``_out`` holds
+        # every station whose MAC is its own (write-back skips it), and
+        # ``_solo`` the live ones among them, driven per slot through
+        # their own MACs in station order.
+        self._out: set[int] = set()
+        self._solo: list[int] = []
+        if faults is not None:
+            self._arm_faults(faults)
+        cohort = [
+            station for i, station in enumerate(self.stations)
+            if i not in self._out
+        ]
+
         # The shadow replica: a real DDCR automaton on a dummy station.
-        # Its station id (-1) never matches a frame, so ``mine`` is always
+        # Its station id is an object no frame carries (babblers may use
+        # any id an attached station does not), so ``mine`` is always
         # false — it digests every observation as a pure bystander, which
         # is exactly the common-knowledge projection of the protocol.
-        seed_mac = self.stations[0].mac
+        seed_mac = (cohort or self.stations)[0].mac
         replica_station = Station(
-            station_id=-1, mac=DDCRProtocol(config), static_indices=(0,)
+            station_id=_REPLICA_ID, mac=DDCRProtocol(config),
+            static_indices=(0,),
         )
         replica = replica_station.mac
         replica.mode = seed_mac.mode
@@ -344,25 +386,59 @@ class BatchKernel:
 
         columns = self.columns
         self._next_arrival = [_NEVER] * len(self.stations)
+        down = faults.down if faults is not None else ()
         for i, station in enumerate(self.stations):
+            if station.station_id in down:
+                continue  # crashed: no column entry, arrivals keep pending
+            due = station.peek_next_arrival()
+            self._next_arrival[i] = _NEVER if due is None else due
+            if i in self._out:
+                continue
             mac = station.mac
             columns.set_private(i, mac._sts_member, mac._sts_cursor)
             self._refresh_head(i)
-            due = station.peek_next_arrival()
-            self._next_arrival[i] = _NEVER if due is None else due
         self._next_due = min(self._next_arrival, default=_NEVER)
         # Idle stretches may be batch-advanced only when nothing demands a
-        # per-slot side effect: no noise gates (one RNG draw per slot), no
-        # trace records or flight-recorder events, and no monitor that can
-        # only digest slots one by one.  Telemetry is fine — the silence
-        # counter supports bulk increments — and so are monitors with a
-        # bulk ``on_idle``.
+        # per-slot side effect: no noise gates (one RNG draw per slot,
+        # fault-plan gates included), no trace records or flight-recorder
+        # events, and no monitor that can only digest slots one by one.
+        # Telemetry is fine — the silence counter supports bulk
+        # increments — and so are monitors with a bulk ``on_idle``.  The
+        # injector's other faults cap or veto each leap in ``_try_leap``.
         self._leap_ok = (
             not self.noise_gates
             and not self.trace_on
             and not self.tracer_on
             and (self.monitors is None or self.monitors.idle_ok)
         )
+
+    def _arm_faults(self, faults) -> None:
+        """Index the plan's station-level faults before the first slot."""
+        from repro.faults.models import BabblingStation, ClockDrift
+
+        self._index = {s.station_id: i for i, s in enumerate(self.stations)}
+        self._fault_next = min(faults.next_event_time, _NEVER)
+        #: ``[start, stop)`` of every babble window: the injector's
+        #: per-round state changes inside them, so no leap.  (Drift needs
+        #: no window: its target is solo or down for the whole run, which
+        #: vetoes every leap on its own.)
+        self._windows: list[tuple[int, int]] = []
+        # A drift target is solo for the whole run, and so is a station
+        # that crashed before this kernel started (a second ``run`` on
+        # the same channel); one still down is merely skipped.
+        out = set(faults.desynced)
+        for event in faults.plan.events:
+            if isinstance(event, BabblingStation):
+                stop = _NEVER if event.stop is None else event.stop
+                self._windows.append((event.start, stop))
+            elif isinstance(event, ClockDrift):
+                out.add(event.station_id)
+        for sid in out:
+            i = self._index[sid]
+            self._out.add(i)
+            if sid not in faults.down:
+                self._solo.append(i)
+        self._solo.sort()
 
     # -- per-station private state refresh --------------------------------
 
@@ -382,13 +458,93 @@ class BatchKernel:
         # Station-list order, exactly like the round driver: the shared
         # seq counter then assigns identical instance ids.
         next_arrival = self._next_arrival
+        out = self._out
         for i, station in enumerate(self.stations):
             if next_arrival[i] <= now:
                 station.deliver_due(now)
-                self._refresh_head(i)
+                if i not in out:  # a solo station has no column entry
+                    self._refresh_head(i)
                 due = station.peek_next_arrival()
                 next_arrival[i] = _NEVER if due is None else due
         self._next_due = min(next_arrival, default=_NEVER)
+
+    # -- station-level faults ----------------------------------------------
+
+    def _fire_fault_events(self, now: int) -> None:
+        """``begin_round`` on a round where crashes or restarts fire.
+
+        ``begin_round`` fires every event up to ``now``, so a station can
+        crash and restart within one call: it is then newly desynced but
+        not down, and already runs on the fresh MAC ``reset_mac``
+        installed.  (A solo station that does so needs nothing: its MAC
+        is read afresh every round.)
+        """
+        faults = self.faults
+        down_before = set(faults.down)
+        desynced_before = set(faults.desynced)
+        faults.begin_round(now)
+        down = faults.down
+        crashed = (down - down_before) | (faults.desynced - desynced_before)
+        for sid in sorted(crashed):
+            self._crash(self._index[sid], frozen=sid in down)
+        for sid in sorted((down_before | crashed) - down):
+            self._restart(self._index[sid])
+        self._fault_next = min(faults.next_event_time, _NEVER)
+        self._next_due = min(self._next_arrival, default=_NEVER)
+
+    def _crash(self, i: int, frozen: bool) -> None:
+        if i in self._solo:
+            self._solo.remove(i)  # its own MAC simply stops being driven
+        else:
+            if frozen:
+                # Freeze the DES view: the MAC holds the replica state as
+                # of the crash instant and is never touched again.  (When
+                # the station already restarted, that MAC was replaced.)
+                self._writeback_station(i)
+            self.columns.set_head(i, _EMPTY)
+            self._out.add(i)
+        self._next_arrival[i] = _NEVER  # arrivals keep pending while down
+
+    def _restart(self, i: int) -> None:
+        # ``reset_mac`` installed a fresh MAC: it is solo from now on.
+        self._solo.append(i)
+        self._solo.sort()
+        due = self.stations[i].peek_next_arrival()
+        self._next_arrival[i] = _NEVER if due is None else due
+
+    def _solo_frames(self, now: int) -> list[Frame]:
+        """Offers of the solo stations and the injector's babble frames."""
+        suppressed = self.faults.suppressed
+        frames = []
+        for i in self._solo:
+            station = self.stations[i]
+            mac = station.mac
+            message = mac.offer(now)
+            if message is not None:
+                if suppressed and station.station_id in suppressed:
+                    mac.suppress_offer()  # clock drift: never on the wire
+                else:
+                    frames.append(Frame(
+                        station_id=station.station_id,
+                        message=message,
+                        burst_continue=False,
+                    ))
+        frames.extend(self.faults.extra)
+        return frames
+
+    def _fault_leap_cap(self, now: int, n: int) -> int:
+        """``n`` capped so the leap skips no round the injector acts in."""
+        if self._solo or self.faults.down:
+            return 0
+        slot_time = self.slot_time
+        if self._fault_next != _NEVER:
+            n = min(n, _ceil_div(self._fault_next - now, slot_time))
+        for start, stop in self._windows:
+            if now < start:
+                n = min(n, _ceil_div(start - now, slot_time))
+            elif now < stop:
+                return 0
+        return n
 
     # -- idle leap ---------------------------------------------------------
 
@@ -414,8 +570,9 @@ class BatchKernel:
         Valid only in the two idle steady states — FREE (a silent slot
         changes nothing) and the fresh-TTs cycle (each silent slot adds
         theta to ``reft``, one trivial empty run, and restarts the same
-        fresh search) — and only up to the next arrival, jam boundary or
-        the horizon, so the first *eventful* slot runs on the normal path.
+        fresh search) — and only up to the next arrival, jam boundary,
+        fault event or window, or the horizon, so the first *eventful*
+        slot runs on the normal path.
         """
         replica = self.replica
         mode = replica.mode
@@ -437,6 +594,10 @@ class BatchKernel:
                 return 0  # jammed: every slot is a collision, no leap
             if now < jam_from:
                 n = min(n, _ceil_div(jam_from - now, slot_time))
+        if self.faults is not None:
+            n = self._fault_leap_cap(now, n)
+            if not n:
+                return 0
         stats = self.stats
         stats.silence_slots += n
         stats.idle_time += n * slot_time
@@ -459,6 +620,14 @@ class BatchKernel:
         slot_time = self.slot_time
         replica = self.replica
         columns = self.columns
+        faults = self.faults
+        down = None
+        if faults is not None:
+            if now >= self._fault_next:
+                self._fire_fault_events(now)
+            else:
+                faults.begin_round(now)
+            down = faults.down or None
         if self._next_due <= now:
             self._deliver_arrivals(now)
         if columns.nonempty == 0:
@@ -492,6 +661,15 @@ class BatchKernel:
                 )
             else:  # FREE / ATTEMPT
                 wire, winner = columns.free_offers()
+        # A frame from outside the columns that is alone on the wire (a
+        # solo station's, or a babbler's) succeeds as ``lone``.
+        lone = None
+        if faults is not None and (self._solo or faults.extra):
+            frames = self._solo_frames(now)
+            if frames:
+                if wire == 0 and len(frames) == 1:
+                    lone = frames[0]
+                wire += len(frames)
         jam_from = channel.jam_from
         jammed = jam_from is not None and now >= jam_from and (
             channel.jam_until is None or now < channel.jam_until
@@ -530,7 +708,7 @@ class BatchKernel:
             if self.monitors is not None:
                 self.monitors.on_slot(
                     now, slot_time, _COLLISION, wire, None, True, jammed,
-                    self.stations, None,
+                    self.stations, down,
                 )
             if self.trace_on:
                 self.trace.emit(
@@ -549,13 +727,17 @@ class BatchKernel:
             stats.silence_slots += 1
             stats.idle_time += slot_time
         elif wire == 1:
-            station = self.stations[winner]
-            message = station.queue_head()
-            frame = Frame(
-                station_id=station.station_id,
-                message=message,
-                burst_continue=False,
-            )
+            if lone is None:
+                station = self.stations[winner]
+                message = station.queue_head()
+                frame = Frame(
+                    station_id=station.station_id,
+                    message=message,
+                    burst_continue=False,
+                )
+            else:
+                frame = lone
+                message = frame.message
             state = _SUCCESS
             duration = self.transmission_time(message.length)
             if self.destructive and duration < slot_time:
@@ -563,10 +745,12 @@ class BatchKernel:
             stats.successes += 1
             stats.busy_time += duration
             stats.payload_bits += message.length
-            # The winner's completion (the DES does this inside its own
-            # ``observe``): dequeue and record, then refresh its column.
-            station.complete(message, now + duration, now)
-            self._refresh_head(winner)
+            if lone is None:
+                # The winner's completion (the DES does this inside its
+                # own ``observe``; a solo winner's MAC still does):
+                # dequeue and record, then refresh its column.
+                station.complete(message, now + duration, now)
+                self._refresh_head(winner)
         else:
             state = _COLLISION
             duration = slot_time
@@ -601,7 +785,7 @@ class BatchKernel:
         if self.monitors is not None:
             self.monitors.on_slot(
                 now, duration, state, wire, frame, False, False,
-                self.stations, None,
+                self.stations, down,
             )
         if self.trace_on:
             self.trace.emit(
@@ -644,41 +828,49 @@ class BatchKernel:
             columns.adopt_members()
         replica.observe(observation)
         if pre_mode is DDCRMode.STS:
-            if state is _SUCCESS:
+            if state is _SUCCESS and winner >= 0:
                 # Ranked order is private: only the transmitter advances.
                 columns.advance_cursor(winner)
             if replica.sts is None:
                 columns.clear_members()
+        if self._solo:
+            stations = self.stations
+            for i in self._solo:
+                stations[i].mac.observe(observation)
 
     # -- state write-back --------------------------------------------------
 
     def _writeback(self) -> None:
         """Project the kernel state back into every station's MAC.
 
-        Restores the per-station replica invariant the rest of the system
-        reads — end-of-run consumers (telemetry finalization, the
-        search-length monitor, ``public_state`` assertions) and the DES
-        itself on a mid-run rejoin.
+        Restores, for every cohort station, the per-station replica
+        invariant the rest of the system reads — end-of-run consumers
+        (telemetry finalization, the search-length monitor,
+        ``public_state`` assertions) and the DES itself on a mid-run
+        rejoin.  Solo and crashed stations' MACs are already their own.
         """
+        out = self._out
+        for i in range(len(self.stations)):
+            if i not in out:
+                self._writeback_station(i)
+
+    def _writeback_station(self, i: int) -> None:
         replica = self.replica
         columns = self.columns
-        tts_records = replica.tts_records
-        sts_records = replica.sts_records
-        for i, station in enumerate(self.stations):
-            mac = station.mac
-            mac.mode = replica.mode
-            mac.reft = replica.reft
-            mac.tts = _copy_tts(replica.tts)
-            mac.sts = _copy_sts(replica.sts)
-            mac._pending_leaf = replica._pending_leaf
-            mac._sts_member = columns.member_of(i)
-            mac._sts_cursor = columns.cursor_of(i)
-            mac._offered = None
-            mac._burst_owner = None
-            mac._burst_budget = 0
-            mac.tts_records = list(tts_records)
-            mac.sts_records = list(sts_records)
-            mac.empty_tts_runs = replica.empty_tts_runs
+        mac = self.stations[i].mac
+        mac.mode = replica.mode
+        mac.reft = replica.reft
+        mac.tts = _copy_tts(replica.tts)
+        mac.sts = _copy_sts(replica.sts)
+        mac._pending_leaf = replica._pending_leaf
+        mac._sts_member = columns.member_of(i)
+        mac._sts_cursor = columns.cursor_of(i)
+        mac._offered = None
+        mac._burst_owner = None
+        mac._burst_budget = 0
+        mac.tts_records = list(replica.tts_records)
+        mac.sts_records = list(replica.sts_records)
+        mac.empty_tts_runs = replica.empty_tts_runs
 
     # -- the loop ----------------------------------------------------------
 

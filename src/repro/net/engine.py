@@ -14,8 +14,8 @@ Two engines can turn the broadcast channel's crank:
   protocol replica digest each slot (the paper's lockstep property), so
   per-slot cost is near-constant in the station count and provably idle
   stretches advance in O(1).  Structurally limited to plain single-bus
-  CSMA/DDCR runs; anything else (foreign MAC types, bursting, fault
-  injectors, dual-bus, non-destructive media) runs on the DES instead,
+  CSMA/DDCR runs, faulted or not; anything else (foreign MAC types,
+  bursting, dual-bus, non-destructive media) runs on the DES instead,
   with the reason recorded in the run manifest (``engine_fallback``).
   If a foreign process appears mid-run the kernel rejoins the DES after
   the current slot.  Selecting it is therefore always safe.

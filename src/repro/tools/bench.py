@@ -19,7 +19,11 @@ appended).  Every write also appends one JSONL line to
 ``--no-history`` skips), which the ``check --ci`` perf-trend gate reads:
 it compares the current run against the median of the last N same-mode
 history entries, so a gradual hot-path slowdown fails CI even when each
-individual commit looks like noise.
+individual commit looks like noise.  Each entry also records the host
+speed the benches ran at (:func:`host_calibration`: wall-clock readings
+of a fixed loop taken around every bench's timed samples), so the gate
+can tell a slow host phase — every bench slower by the same factor —
+from a regression.
 
 ``--smoke`` is the CI-sized variant (one repetition, smaller simulation
 horizon); ``python -m repro.tools.check --ci`` runs it inline as a
@@ -52,6 +56,8 @@ __all__ = [
     "BENCHES",
     "BenchResult",
     "append_history",
+    "calibrate",
+    "host_calibration",
     "history_entry",
     "load_history",
     "run_benches",
@@ -79,6 +85,9 @@ class BenchResult:
     repeats: int
     median_seconds: float = 0.0
     median_ops_per_sec: float = 0.0
+    #: :func:`calibrate` readings taken just before and just after the
+    #: timed samples, averaged: the host speed the samples ran at.
+    calib_s: float | None = None
 
     def describe(self) -> str:
         engine = f" [{self.engine}]" if self.engine else ""
@@ -283,8 +292,14 @@ def _channel_slot_rate(
     telemetry: bool = False,
     tracer: bool = False,
     seed: int = 0,
+    faulted: bool = False,
 ) -> tuple[float, str]:
-    """DDCR simulation throughput, in channel rounds per second."""
+    """DDCR simulation throughput, in channel rounds per second.
+
+    ``faulted`` arms burst noise plus one crash and restart (both in the
+    idle gap after the first window's burst), with the monitors a faulted
+    run auto-arms.
+    """
     import contextlib
 
     from repro.model.workloads import uniform_problem
@@ -299,6 +314,23 @@ def _channel_slot_rate(
         time_f=16, time_m=2, class_width=65_536,
         static_q=problem.static_q, static_m=problem.static_m,
     )
+    plan = None
+    if faulted:
+        from repro.faults.models import (
+            FaultPlan,
+            GilbertElliottNoise,
+            StationCrash,
+        )
+
+        w = problem.all_classes()[0].bound.w
+        plan = FaultPlan((
+            GilbertElliottNoise(
+                p_enter_bad=0.002, p_exit_bad=0.05, bad_rate=0.5
+            ),
+            StationCrash(
+                station_id=1, at=w * 3 // 4, restart_at=w * 19 // 20
+            ),
+        ))
     registry = None
     if telemetry:
         from repro.obs.instruments import Telemetry
@@ -324,12 +356,15 @@ def _channel_slot_rate(
                 protocol_factory=lambda s: DDCRProtocol(config),
                 root_seed=seed,
                 engine=engine,
-                monitors=monitors,
+                faults=plan,
+                monitors=None if faulted else monitors,
                 telemetry=registry,
             )
         )
         result = simulation.run(200_000 if smoke else 1_000_000)
     assert result.delivered > 0
+    if faulted:
+        assert result.invariants is not None
     if monitors:
         assert result.invariants is not None and result.invariants.ok
     if telemetry:
@@ -341,10 +376,10 @@ def _channel_slot_rate(
 
 
 def _make_slot_rate_bench(
-    stations: int, engine: str
+    stations: int, engine: str, faulted: bool = False
 ) -> "Callable[[bool, int], tuple[float, str]]":
     return lambda smoke, seed=0: _channel_slot_rate(
-        stations, engine, smoke, seed=seed
+        stations, engine, smoke, seed=seed, faulted=faulted
     )
 
 
@@ -537,6 +572,16 @@ BENCHES: dict[
         for stations in (4, 16, 64, 256)
         for engine in ("des", "batch")
     },
+    # The same 64-station bus under burst noise and a crash/restart: the
+    # batch kernel's fault path (injector gates, a frozen crashed MAC,
+    # one solo station after the restart) against the DES.
+    **{
+        f"faulted_slot_rate_64_{engine}": (
+            engine,
+            _make_slot_rate_bench(64, engine, faulted=True),
+        )
+        for engine in ("des", "batch")
+    },
     "invariant_overhead": ("des", _bench_invariant_overhead),
     "telemetry_overhead": ("des", _bench_telemetry_overhead),
     "tracer_overhead": ("des", _bench_tracer_overhead),
@@ -587,10 +632,12 @@ def run_benches(
             samples: list[float] = []
             ops = 0.0
             unit = "ops"
+            calib_before = calibrate()
             for _ in range(repeats):
                 started = time.perf_counter()
                 ops, unit = bench(smoke, seed)
                 samples.append(time.perf_counter() - started)
+            calib_s = (calib_before + calibrate()) / 2
         best_seconds = min(samples)
         if registry is not None and telemetry_sink is not None:
             from repro.obs.manifest import RunTelemetry
@@ -619,6 +666,7 @@ def run_benches(
                 median_ops_per_sec=(
                     ops / median_seconds if median_seconds > 0 else 0.0
                 ),
+                calib_s=calib_s,
             )
         )
     return results
@@ -662,19 +710,54 @@ def report_payload(
     }
 
 
-def history_entry(results: list[BenchResult], smoke: bool) -> dict[str, object]:
+def calibrate() -> float:
+    """Wall seconds of one pass of a fixed pure-Python loop: the host probe.
+
+    The same loop the end-to-end benchmark's worker times.  It exercises
+    the interpreter and nothing of this library, so throughput times this
+    figure stays level when the host gets uniformly slower or faster and
+    drops only when the code does.  It is read on the benches' own clock
+    (``perf_counter``), so whatever slows their wall time — a slower CPU,
+    or CPU steal and contention on a shared host — slows it too.
+    """
+    started = time.perf_counter()
+    acc = 0
+    for i in range(200_000):
+        acc = (acc + i * i) % 1_000_003
+    return time.perf_counter() - started
+
+
+def host_calibration(results: list[BenchResult]) -> float:
+    """The run's host figure: the median of its benches' ``calib_s``.
+
+    Results that carry none (built by hand, not by :func:`run_benches`)
+    get the median of three fresh :func:`calibrate` readings instead.
+    """
+    readings = [result.calib_s for result in results if result.calib_s]
+    if not readings:
+        readings = [calibrate() for _ in range(3)]
+    return statistics.median(readings)
+
+
+def history_entry(
+    results: list[BenchResult], smoke: bool, calib_s: float | None = None
+) -> dict[str, object]:
     """One JSONL history line: provenance plus per-bench throughput.
 
     ``benches`` maps name to the *median* ops/sec — the robust sample the
     perf-trend gate medians again across entries — with the best sample
     and the engine the bench ran on kept alongside (the gate compares a
-    bench only against samples taken on the same engine).
+    bench only against samples taken on the same engine).  ``calib_s`` is
+    the run's :func:`host_calibration`, computed here when not given.
     """
     return {
         "schema": 1,
         "time": time.time(),
         "git_rev": _git_rev(),
         "smoke": smoke,
+        "calib_s": (
+            host_calibration(results) if calib_s is None else calib_s
+        ),
         "benches": {
             result.name: {
                 "ops_per_sec": result.median_ops_per_sec or result.ops_per_sec,

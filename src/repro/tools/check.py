@@ -243,8 +243,8 @@ def _run_invariants_smoke(batch: bool = True) -> list[str]:
     Every scenario runs on the reference DES.  With ``batch`` (the
     default) it is re-run on the batch engine and its statistics,
     completions and invariant report must match the DES's exactly — the
-    faulted scenarios exercise the structural fallback path, the clean
-    monitored DDCR scenario the kernel itself.
+    DDCR scenarios exercise the kernel itself (its fault path on the
+    faulted one), the other protocols the structural fallback path.
     """
     from repro.experiments.harness import (
         csma_cd_factory,
@@ -307,9 +307,8 @@ def _run_invariants_smoke(batch: bool = True) -> list[str]:
                 [MutualExclusionMonitor(), DeadlineMonitor()]
             ),
         ),
-        # Fault-free but monitored: the one scenario the batch kernel
-        # actually executes (armed injectors structurally fall back), so
-        # the batch re-run below covers the kernel, not just the fallback.
+        # Fault-free but monitored: the batch re-run below covers the
+        # kernel's clean path as well as its fault path.
         (
             "ddcr-clean+monitors",
             ddcr_factory(config),
@@ -883,14 +882,27 @@ def _run_perf_trend(
     Compares each bench's median ops/sec against the median of the last
     ``window`` same-mode (smoke) history entries that measured it on the
     same engine; a drop of more than ``threshold`` percent is a
-    regression.  A bench with fewer than two such samples (new, or moved
-    to another engine) has no baseline yet and is skipped, not failed.
-    The current run is appended to the history *after* the comparison, so
-    a regressed run cannot vote itself into its own baseline.  Returns
+    regression.  Throughput is host-calibrated when it can be: each
+    sample is scaled by the host figure (:func:`host_calibration
+    <repro.tools.bench.host_calibration>`, wall-clock readings taken
+    around the benches' timed samples) recorded with it, relative to the
+    current run's, so a uniformly slower host phase is not a
+    regression.  With fewer than two calibrated samples (history from
+    before calibration was recorded) the gate compares raw medians.  A
+    bench with fewer than two samples at all (new, or moved to another
+    engine) has no baseline yet and is skipped, not failed.  The current
+    run is appended to the history *after* the comparison, so a
+    regressed run cannot vote itself into its own baseline.  Returns
     failure lines.
     """
-    from repro.tools.bench import append_history, history_entry, load_history
+    from repro.tools.bench import (
+        append_history,
+        history_entry,
+        host_calibration,
+        load_history,
+    )
 
+    calib_s = host_calibration(results)
     smoke_entries = [
         entry for entry in load_history(history_path) if entry.get("smoke")
     ][-window:]
@@ -904,14 +916,21 @@ def _run_perf_trend(
     else:
         unbased: list[str] = []
         for result in results:
+            measured = []  # (ops/s, host calibration or None)
+            for entry in smoke_entries:
+                bench = entry.get("benches", {}).get(result.name)
+                if bench is not None and bench.get("engine") == result.engine:
+                    measured.append(
+                        (bench["ops_per_sec"], entry.get("calib_s"))
+                    )
+            # Each calibrated sample as ops/s at the current host speed.
             samples = [
-                bench["ops_per_sec"]
-                for bench in (
-                    entry.get("benches", {}).get(result.name)
-                    for entry in smoke_entries
-                )
-                if bench is not None and bench.get("engine") == result.engine
+                ops * calib / calib_s for ops, calib in measured if calib
             ]
+            basis = "host-calibrated"
+            if len(samples) < 2:
+                samples = [ops for ops, _ in measured]
+                basis = "raw"
             if len(samples) < 2:
                 unbased.append(result.name)
                 continue
@@ -924,7 +943,7 @@ def _run_perf_trend(
                 failures.append(
                     f"{result.name}: {current:,.0f} ops/s is "
                     f"{drop:.1f}% below the history median "
-                    f"{baseline:,.0f} (limit {threshold:.0f}%, "
+                    f"{baseline:,.0f} ({basis}, limit {threshold:.0f}%, "
                     f"n={len(samples)})"
                 )
         if unbased:
@@ -938,7 +957,9 @@ def _run_perf_trend(
             f"({len(results) - len(unbased)} bench(es) vs median of "
             f"{len(smoke_entries)} run(s))"
         )
-    append_history(history_path, history_entry(results, smoke=True))
+    append_history(
+        history_path, history_entry(results, smoke=True, calib_s=calib_s)
+    )
     return failures
 
 

@@ -171,10 +171,18 @@ def test_non_destructive_medium_is_ineligible():
     assert "non-destructive" in batch_unavailable_reason(channel)
 
 
-def test_armed_faults_are_ineligible():
+def test_armed_faults_are_eligible():
+    """Faults no longer force the DES: the kernel drives the injector."""
+    from repro.faults.runtime import FaultInjector
+
     channel = _build_channel()
-    channel.faults = object()  # any armed injector
-    assert "fault injector" in batch_unavailable_reason(channel)
+    plan = FaultPlan((StationCrash(station_id=0, at=40_000),))
+    injector = FaultInjector(plan)
+    injector.arm(channel)
+    channel.faults = injector
+    assert batch_unavailable_reason(channel) is None
+    assert channel.run(_HORIZON, engine="batch") is None
+    assert channel.engine_ran == "batch"
 
 
 def test_consistency_checks_are_ineligible():
@@ -206,7 +214,7 @@ def test_run_batch_falls_back_and_reports_why():
 # -- auto resolution and the pure-Python kernel ------------------------------
 
 
-def _simulation(engine, faults=None):
+def _simulation(engine, faults=None, check_consistency=False):
     from repro.net.scenario import Scenario
     from repro.obs.instruments import Telemetry
 
@@ -217,6 +225,7 @@ def _simulation(engine, faults=None):
         medium=ideal_medium(slot_time=64),
         protocol_factory=lambda source: DDCRProtocol(config),
         trace=True,
+        check_consistency=check_consistency,
         root_seed=3,
         engine=engine,
         faults=faults,
@@ -225,16 +234,21 @@ def _simulation(engine, faults=None):
 
 
 def test_auto_resolves_to_batch_or_des():
-    """``auto`` runs the kernel on an eligible run (no note) and the DES,
-    with the reason, on a faulted one; the manifest names the tier that
-    executed."""
+    """``auto`` runs the kernel on eligible runs, faulted or not (no
+    note), and the DES, with the reason, on a structurally ineligible
+    one; the manifest names the tier that executed."""
     clean = _simulation("auto").run(_HORIZON).telemetry
     assert (clean.engine, clean.engine_fallback) == ("batch", None)
     plan = FaultPlan((StationCrash(station_id=0, at=40_000),))
     faulted = _simulation("auto", faults=plan).run(_HORIZON).telemetry
-    assert faulted.engine == "des"
-    assert faulted.engine_fallback == (
-        "batch engine unavailable (fault injector armed): ran des"
+    assert (faulted.engine, faulted.engine_fallback) == ("batch", None)
+    checked = _simulation(
+        "auto", faults=plan, check_consistency=True
+    ).run(_HORIZON).telemetry
+    assert checked.engine == "des"
+    assert checked.engine_fallback == (
+        "batch engine unavailable (per-slot consistency checks "
+        "requested): ran des"
     )
 
 
@@ -471,6 +485,64 @@ def test_monitored_leap_is_byte_identical(monkeypatch):
     assert not leaps
     assert run("batch") == reference
     assert max((n for _, n in leaps), default=0) > 1
+
+
+@pytest.mark.parametrize(
+    "crash",
+    [
+        StationCrash(station_id=1, at=40_000, restart_at=120_000),
+        StationCrash(station_id=1, at=40_000),
+    ],
+    ids=["crash-restart", "crash"],
+)
+def test_faulted_leap_is_capped_and_identical(monkeypatch, crash):
+    """Without noise gates a faulted run keeps the leap, capped at the
+    next crash/restart and off while a station is down or solo: no leap
+    spans a fault event, and the run stays identical to the DES."""
+    from repro.faults.runtime import FaultInjector
+
+    spans = []
+    original = BatchKernel._try_leap
+
+    def spy(self, now, horizon):
+        n = original(self, now, horizon)
+        if n:
+            spans.append((now, now + n * self.slot_time))
+        return n
+
+    monkeypatch.setattr(BatchKernel, "_try_leap", spy)
+
+    def run(engine):
+        problem = _problem()
+        config = _config(problem)
+        channel = _build_channel(problem=problem, config=config)
+        injector = FaultInjector(FaultPlan((crash,)))
+
+        def reset_mac(station):
+            station.mac = DDCRProtocol(config)
+            station.mac.attach(station)
+
+        injector.arm(channel, reset_mac=reset_mac)
+        channel.faults = injector
+        channel.monitors = standard_suite(channel.stations)
+        channel.run(_HORIZON, engine=engine)
+        report = channel.monitors.finalize(
+            _HORIZON, channel.stations, down=injector.down
+        )
+        return _digest(channel), pickle.dumps(report)
+
+    reference = run("des")
+    assert run("batch") == reference
+    events = [at for at in (crash.at, crash.restart_at) if at is not None]
+    # A leap from the first burst's tail runs into the crash and stops
+    # right at it (the round that fires the crash runs normally).
+    assert any(stop - 64 < crash.at <= stop for _, stop in spans)
+    for start, stop in spans:
+        # The round at ``start`` ran ``begin_round``; no leaped slot after
+        # it may reach an event.  None leaps once the station is down,
+        # nor after its restart (it is solo from then on).
+        assert not any(start < at <= stop - 64 for at in events)
+        assert start < crash.at
 
 
 def test_fabric_downstream_segment_leaps(monkeypatch):

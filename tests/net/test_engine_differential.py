@@ -4,9 +4,9 @@ The struct-of-arrays batch kernel (``run(horizon, engine="batch")``, and
 ``auto`` which resolves to it on eligible runs) must be
 indistinguishable from the general DES by results: same
 :class:`ChannelStats`, same completion records, same trace stream, same
-final clock — across protocols, noise, jamming, bursting, and the
-automatic fallback paths (foreign processes at entry and mid-run,
-structural batch ineligibility).
+final clock — across protocols, noise, jamming, bursting, every fault
+model the injector arms, and the automatic fallback paths (foreign
+processes at entry and mid-run, structural batch ineligibility).
 """
 
 from __future__ import annotations
@@ -20,12 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults.models import (
+    ArrivalBurst,
     BabblingStation,
+    BernoulliNoise,
+    BusJam,
     ClockDrift,
     FaultPlan,
     GilbertElliottNoise,
     StationCrash,
 )
+from repro.faults.runtime import FaultInjector
 from repro.model.arrival import GreedyBurstArrivals
 from repro.model.workloads import uniform_problem
 from repro.net.channel import BroadcastChannel
@@ -403,14 +407,239 @@ def test_telemetry_identical_across_engines_under_faults():
     assert des.counters["faults/crash"] == 1
     assert des.counters["faults/restart"] == 1
     assert des.fault_plan is not None
-    # An armed injector is structurally ineligible for the batch kernel:
-    # ``auto`` and ``batch`` ran on the DES and the manifest says why.
+    # An armed injector is batch-eligible: ``auto`` and ``batch`` ran the
+    # kernel itself, with no fallback note.
     for manifest in (auto, batch):
-        assert manifest.engine == "des"
-        assert manifest.engine_fallback == (
-            "batch engine unavailable (fault injector armed): ran des"
+        assert manifest.engine == "batch"
+        assert manifest.engine_fallback is None
+    assert des.engine == "des" and des.engine_fallback is None
+
+
+# -- every fault model on the batch kernel ----------------------------------
+
+#: One plan per fault model.  A crash with restart comes in several
+#: timings: in an idle gap, in the middle of the first burst's resolution,
+#: and with both events inside one silent slot, one collision slot or one
+#: success frame, so that they fire in the same round.
+_FAULT_MODELS = {
+    "bernoulli": FaultPlan((BernoulliNoise(rate=0.02),)),
+    "gilbert-elliott": FaultPlan((GilbertElliottNoise(
+        p_enter_bad=0.002, p_exit_bad=0.05, bad_rate=0.5),)),
+    "crash": FaultPlan((StationCrash(station_id=0, at=40_000),)),
+    "crash-restart": FaultPlan((
+        StationCrash(station_id=0, at=40_000, restart_at=120_000),
+    )),
+    "crash-restart-mid-resolution": FaultPlan((
+        StationCrash(station_id=2, at=2_000, restart_at=5_000),
+    )),
+    "crash-restart-within-idle-slot": FaultPlan((
+        StationCrash(station_id=0, at=40_001, restart_at=40_010),
+    )),
+    "crash-restart-within-collision-slot": FaultPlan((
+        StationCrash(station_id=5, at=4_650, restart_at=4_700),
+    )),
+    "crash-restart-within-frame": FaultPlan((
+        StationCrash(station_id=4, at=1_700, restart_at=2_400),
+    )),
+    "drift": FaultPlan((ClockDrift(
+        station_id=1, skew_per_slot=8.0, start=1_000, stop=220_000),)),
+    "babbler": FaultPlan((BabblingStation(
+        start=40_000, stop=60_000, period=8),)),
+    "bus-jam": FaultPlan((BusJam(start=80_000, stop=90_000),)),
+    "arrival-burst": FaultPlan((
+        ArrivalBurst(station_id=3, at=100_000, count=4),
+    )),
+}
+
+
+def _run_faulted(engine, plan, traced):
+    """One monitored faulted run: everything it computed, and its manifest.
+
+    Traced runs execute every slot; untraced ones let the batch kernel
+    leap idle stretches wherever the plan allows it."""
+    from repro.net.scenario import Scenario
+    from repro.obs.instruments import Telemetry
+
+    problem = uniform_problem(
+        z=6, length=1_000, deadline=400_000, a=1, w=200_000
+    )
+    simulation = NetworkSimulation.from_scenario(Scenario(
+        problem=problem,
+        medium=ideal_medium(slot_time=64),
+        protocol_factory=_protocol_factory("ddcr", problem),
+        trace=traced,
+        root_seed=5,
+        engine=engine,
+        faults=plan,
+        monitors=True,
+        telemetry=Telemetry(),
+    ))
+    result = simulation.run(_HORIZON)
+    manifest = result.telemetry
+    snapshot = pickle.dumps((
+        result.stats,
+        result.completions,
+        result.backlog(),
+        list(result.trace.records()) if traced else None,
+        result.invariants,
+        manifest.content_json(),
+    ))
+    return snapshot, manifest
+
+
+@pytest.mark.parametrize("traced", [True, False], ids=["traced", "leaping"])
+@pytest.mark.parametrize("model", list(_FAULT_MODELS))
+def test_every_fault_model_runs_on_batch_identically(model, traced):
+    """Each fault model, monitors armed: the batch kernel itself runs it
+    (no fallback note) and matches the DES byte for byte — stats,
+    completions, backlog, trace, invariant report and telemetry."""
+    plan = _FAULT_MODELS[model]
+    des, des_manifest = _run_faulted("des", plan, traced)
+    batch, manifest = _run_faulted("batch", plan, traced)
+    assert batch == des
+    assert (des_manifest.engine, des_manifest.engine_fallback) == ("des", None)
+    assert (manifest.engine, manifest.engine_fallback) == ("batch", None)
+
+
+def _run_faulted_with_foreign_process(engine):
+    """A hand-armed channel under a plan that combines every station-level
+    fault, whose trace subscriber registers a foreign DES process while
+    station 1 is down: the kernel rejoins the DES with one station
+    crashed and one drifting solo."""
+    from repro.sim.invariants import standard_suite
+
+    problem = uniform_problem(
+        z=5, length=1_000, deadline=400_000, a=1, w=200_000
+    )
+    config = _ddcr_config(problem)
+    env = Environment()
+    trace = TraceLog(enabled=True)
+    channel = BroadcastChannel(env, ideal_medium(slot_time=64), trace=trace)
+    seq_source = itertools.count()
+    for source in problem.sources:
+        station = Station(
+            station_id=source.source_id,
+            mac=DDCRProtocol(config),
+            static_indices=source.static_indices,
+            seq_source=seq_source,
         )
-    assert des.engine_fallback is None
+        for msg_class in source.message_classes:
+            station.load_arrivals(
+                msg_class, GreedyBurstArrivals(bound=msg_class.bound), _HORIZON
+            )
+        channel.attach(station)
+
+    def reset_mac(station):
+        station.mac = DDCRProtocol(config)
+        station.mac.attach(station)
+
+    injector = FaultInjector(FaultPlan((
+        GilbertElliottNoise(p_enter_bad=0.01, p_exit_bad=0.2, bad_rate=0.3),
+        StationCrash(station_id=1, at=30_000, restart_at=90_000),
+        ClockDrift(station_id=2, skew_per_slot=8.0),
+        BabblingStation(start=20_000, stop=40_000, period=16),
+        ArrivalBurst(station_id=4, at=60_000, count=3),
+        BusJam(start=150_000, stop=152_000),
+    )), rng=random.Random(9))
+    injector.arm(
+        channel,
+        reset_mac=reset_mac,
+        resolve_class=lambda station, name: problem.sources[
+            station.station_id
+        ].message_classes[0],
+    )
+    channel.faults = injector
+    channel.monitors = standard_suite(channel.stations)
+    ticks: list[float] = []
+
+    def ticker():
+        for _ in range(5):
+            yield env.timeout(10_000)
+            ticks.append(env.now)
+
+    def on_record(record):
+        if not ticks and record.time >= 50_000:
+            ticks.append(-1)  # marks the registration
+            env.process(ticker())
+
+    trace.subscribe(on_record)
+    assert channel.run(_HORIZON, engine=engine) is None
+    assert env.now == _HORIZON
+    report = channel.monitors.finalize(
+        _HORIZON, channel.stations, down=injector.down
+    )
+    completions = [
+        record for station in channel.stations
+        for record in station.completions
+    ]
+    return ticks, channel.engine_ran, pickle.dumps((
+        _snapshot(channel.stats, completions, trace),
+        report,
+        injector.fire_counts,
+        [station.mac.public_state() for station in channel.stations],
+    ))
+
+
+def test_faulted_batch_run_rejoins_des_mid_run():
+    """The mid-run DES rejoin out of a faulted kernel run: the write-back
+    leaves the crashed MAC frozen and the solo MACs their own, and the
+    DES finishes the run exactly as if it had run it all."""
+    des_ticks, des_tier, des_run = _run_faulted_with_foreign_process("des")
+    ticks, tier, run = _run_faulted_with_foreign_process("batch")
+    assert (des_tier, tier) == ("des", "batch")
+    assert len(des_ticks) == 6  # registration mark plus five ticks
+    assert ticks == des_ticks
+    assert run == des_run
+
+
+def _run_restart_during_resolution(engine):
+    """64 GbE stations whose station 54 restarts while a collision
+    resolution is in progress — a run that livelocks the bus (a known
+    protocol defect) and the hardest case for solo-station driving: a
+    fresh MAC enters mid-search and never rejoins the lockstep."""
+    from repro.experiments.harness import ddcr_factory, default_ddcr_config
+    from repro.net.phy import GIGABIT_ETHERNET
+    from repro.net.scenario import Scenario
+    from repro.obs.instruments import Telemetry
+
+    problem = uniform_problem(z=64, scale=3.0)
+    phases = random.Random(1)
+    result = NetworkSimulation.from_scenario(Scenario(
+        problem=problem,
+        medium=GIGABIT_ETHERNET,
+        protocol_factory=ddcr_factory(
+            default_ddcr_config(problem, GIGABIT_ETHERNET)
+        ),
+        arrivals={
+            cls.name: GreedyBurstArrivals(
+                bound=cls.bound, phase=phases.randrange(100_000)
+            )
+            for cls in problem.all_classes()
+        },
+        faults=FaultPlan((
+            StationCrash(station_id=54, at=2_395_424, restart_at=3_916_000),
+        )),
+        engine=engine,
+        telemetry=Telemetry(),
+    )).run(6_000_000)
+    manifest = result.telemetry
+    return manifest.engine, result.invariants, pickle.dumps((
+        result.stats,
+        result.completions,
+        result.backlog(),
+        result.invariants,
+        manifest.content_json(),
+    ))
+
+
+def test_restart_during_resolution_matches_des():
+    """batch == des on the livelock scenario: the same violations, the
+    same stranded backlog, the same telemetry."""
+    des_tier, report, des = _run_restart_during_resolution("des")
+    tier, _, batch = _run_restart_during_resolution("batch")
+    assert (des_tier, tier) == ("des", "batch")
+    assert not report.ok  # the defect shows, identically on both engines
+    assert batch == des
 
 
 def test_dualbus_telemetry_identical_across_engines():

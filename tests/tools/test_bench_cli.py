@@ -73,6 +73,21 @@ def test_run_benches_returns_results():
     assert "tables/s" in results[0].describe()
 
 
+def test_host_calibration_brackets_the_timed_samples(monkeypatch):
+    """Each bench carries the mean of the host readings taken just before
+    and after its timed samples; a history entry records their median."""
+    readings = iter([0.010, 0.030, 0.050, 0.070])
+    monkeypatch.setattr(bench, "calibrate", lambda: next(readings))
+    results = bench.run_benches(
+        names=["divide_conquer_table", "divide_conquer_table"], smoke=True
+    )
+    assert [result.calib_s for result in results] == pytest.approx(
+        [0.020, 0.060]
+    )
+    entry = bench.history_entry(results, smoke=True)
+    assert entry["calib_s"] == pytest.approx(0.040)
+
+
 def test_repeats_honored_with_min_and_median(tmp_path):
     output = tmp_path / "bench.json"
     code = bench.main(

@@ -299,6 +299,20 @@ class TestPerfTrendGate:
     """The gate medians the bench history; driven directly (running the
     full perf smoke per case would dominate the suite's runtime)."""
 
+    #: The host calibration figure every case runs at unless it says
+    #: otherwise: a measured one would make the cases timing-dependent.
+    CALIB_S = 0.02
+
+    @pytest.fixture(autouse=True)
+    def _steady_host(self, monkeypatch):
+        self._set_host(monkeypatch, self.CALIB_S)
+
+    @staticmethod
+    def _set_host(monkeypatch, calib_s: float):
+        import repro.tools.bench as bench
+
+        monkeypatch.setattr(bench, "calibrate", lambda: calib_s)
+
     @staticmethod
     def _result(ops: float):
         from repro.tools.bench import BenchResult
@@ -431,3 +445,58 @@ class TestPerfTrendGate:
         )
         assert failures == []
         assert "not enough history" in capsys.readouterr().out
+
+    def test_uniformly_slower_host_passes(self, tmp_path, monkeypatch, capsys):
+        """Every sample taken on a host half as fast: raw throughput halves
+        and so does the calibrated host figure, so it is no regression."""
+        from repro.tools.check import _run_perf_trend
+
+        history = tmp_path / "hist.jsonl"
+        self._seed_history(history, ops=10_000)
+        self._set_host(monkeypatch, 2 * self.CALIB_S)
+        failures = _run_perf_trend(
+            [self._result(5_000)], history, window=5, threshold=30.0
+        )
+        assert failures == []
+        assert "perf-trend: ok" in capsys.readouterr().out
+
+    def test_real_drop_on_a_steady_host_fails(self, tmp_path, capsys):
+        """Half the throughput at the same calibration is a regression."""
+        from repro.tools.check import _run_perf_trend
+
+        history = tmp_path / "hist.jsonl"
+        self._seed_history(history, ops=10_000)
+        failures = _run_perf_trend(
+            [self._result(5_000)], history, window=5, threshold=30.0
+        )
+        assert len(failures) == 1
+        assert "host-calibrated" in failures[0]
+        assert "perf-trend: FAILED" in capsys.readouterr().out
+
+    def test_uncalibrated_history_falls_back_to_raw(
+        self, tmp_path, monkeypatch
+    ):
+        """History written before calibration was recorded carries no
+        host figure: the gate compares raw medians, as it always did."""
+        import json
+
+        from repro.tools.check import _run_perf_trend
+
+        history = tmp_path / "hist.jsonl"
+        with open(history, "w") as handle:
+            for _ in range(3):
+                entry = self._entry(10_000)
+                del entry["calib_s"]
+                handle.write(json.dumps(entry) + "\n")
+        self._set_host(monkeypatch, 2 * self.CALIB_S)
+        failures = _run_perf_trend(
+            [self._result(5_000)], history, window=5, threshold=30.0
+        )
+        assert len(failures) == 1
+        assert "(raw," in failures[0]
+
+    @staticmethod
+    def _entry(ops: float) -> dict:
+        from repro.tools.bench import history_entry
+
+        return history_entry([TestPerfTrendGate._result(ops)], smoke=True)
